@@ -16,8 +16,8 @@ from .vectors import (  # noqa: F401
     H02_BASIS, H02_LEFT, H02_RIGHT,
 )
 from .linalg import Echelon  # noqa: F401
+from . import core as _core
 from .core import (  # noqa: F401
-    DEFAULT_CONFIG,
     DecompositionIncomplete,
     FDBimodule,
     GENERATORS,
@@ -64,3 +64,9 @@ from .suites import (  # noqa: F401
     verify_action_lemmas,
     verify_identities,
 )
+
+
+def __getattr__(name):
+    if name == "DEFAULT_CONFIG":
+        return _core.DEFAULT_CONFIG
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -49,15 +49,32 @@ class DecompositionIncomplete(RuntimeError):
     pass
 
 
+def _env_closure_cap():
+    """The closure cap named by HOPFLAB_CAP (default 512)."""
+    raw = os.environ.get("HOPFLAB_CAP", "512")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            "HOPFLAB_CAP must be a positive integer, got %r" % raw)
+    return cap
+
+
 @dataclass
 class LabConfig:
     """Budgets for closure search and operator-algebra spanning."""
-    closure_cap: int = field(
-        default_factory=lambda: int(os.environ.get("HOPFLAB_CAP", "512")))
+    closure_cap: int = field(default_factory=_env_closure_cap)
     word_cap: int = 8
 
 
-DEFAULT_CONFIG = LabConfig()
+def __getattr__(name):
+    # DEFAULT_CONFIG is built when it is used, not at import, so a malformed
+    # HOPFLAB_CAP fails the run that reads it and never the import
+    if name == "DEFAULT_CONFIG":
+        return LabConfig()
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class Weight(NamedTuple):
@@ -156,7 +173,7 @@ def closure(seeds, side="bi", config=None, name="closure"):
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be left, right, or bi")
-    cfg = config or DEFAULT_CONFIG
+    cfg = config or LabConfig()
     homogeneous = []
     for s in seeds:
         s = HXC.normal_form(s) if isinstance(s, dict) else HXC.normal_form(
@@ -384,7 +401,7 @@ def matrix_span(mats, n, word_cap):
 
 def operator_span(mod, config=None):
     """Span of words in all available action matrices of the closure."""
-    cfg = config or DEFAULT_CONFIG
+    cfg = config or LabConfig()
     return matrix_span(_action_matrices(mod), mod.dim, cfg.word_cap)
 
 
@@ -423,7 +440,7 @@ def is_simple(mod, config=None):
     """True when the spanned operator algebra is all of End(V); False when
     some probe vector generates a proper nonzero stable subspace; None when
     neither test decides within the budget."""
-    cfg = config or DEFAULT_CONFIG
+    cfg = config or LabConfig()
     n = mod.dim
     dim, capped = operator_span(mod, cfg)
     if dim == n * n:
@@ -536,7 +553,7 @@ def decompose_left(mod, config=None):
     Raises DecompositionIncomplete if the summands do not fill the module
     or if a generated summand cannot be certified simple.
     """
-    cfg = config or DEFAULT_CONFIG
+    cfg = config or LabConfig()
     n = mod.dim
     seeds = []
     for v in _hw_left_coords(mod):

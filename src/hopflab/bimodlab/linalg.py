@@ -22,6 +22,7 @@ class Echelon:
     def __init__(self, keyfunc=None):
         self.keyfunc = keyfunc if keyfunc is not None else (lambda k: k)
         self.rows = {}  # pivot key -> vector
+        self._order = []  # pivot keys sorted by keyfunc; None when stale
 
     @property
     def dim(self):
@@ -71,20 +72,25 @@ class Echelon:
                 else:
                     row[k2] = s
         self.rows[pivot] = r
+        self._order = None
         self.last_row = dict(r)
         return True
 
+    def _pivots(self):
+        if self._order is None:
+            self._order = sorted(self.rows, key=self.keyfunc)
+        return self._order
+
     def basis(self):
         """Stored vectors sorted by pivot key, ascending: canonical."""
-        return [dict(self.rows[k])
-                for k in sorted(self.rows, key=self.keyfunc)]
+        return [dict(self.rows[k]) for k in self._pivots()]
 
     def pivots(self):
-        return sorted(self.rows, key=self.keyfunc)
+        return list(self._pivots())
 
     def coords(self, vec):
         """Coordinates of vec in basis() order, or None if outside the span."""
-        piv = self.pivots()
+        piv = self._pivots()
         out = [vec.get(k, ZERO) for k in piv]
         probe = dict(vec)
         for k, c in zip(piv, out):
@@ -132,32 +138,9 @@ def mat_mul(Am, Bm):
     return out
 
 
-def mat_vec(Am, x):
-    out = [ZERO] * len(Am)
-    for i, row in enumerate(Am):
-        acc = ZERO
-        for c, v in zip(row, x):
-            if not c.is_zero() and not v.is_zero():
-                acc = acc + c * v
-        out[i] = acc
-    return out
-
-
 def mat_add(Am, Bm, ca=ONE, cb=ONE):
     return [[ca * x + cb * y for x, y in zip(r1, r2)]
             for r1, r2 in zip(Am, Bm)]
-
-
-def mat_scale(Am, c):
-    return [[c * x for x in row] for row in Am]
-
-
-def mat_eq(Am, Bm):
-    return Am == Bm
-
-
-def transpose(Am):
-    return [list(col) for col in zip(*Am)]
 
 
 def rref(rows):
@@ -214,7 +197,3 @@ def kernel(Am):
                 vec[p] = -c
         out.append(vec)
     return out
-
-
-def is_invertible(Am):
-    return len(Am) > 0 and len(Am) == len(Am[0]) == rank_dense(Am)

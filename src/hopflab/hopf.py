@@ -210,11 +210,6 @@ def pairing(c, h):
 
 # -- letter-level actions (the four closed forms per side) --
 
-def _inject_c(p):
-    """View a function-algebra polynomial inside the tensor algebra."""
-    return dict(p)
-
-
 def _mix(hpoly, cpoly):
     """Product (H part) * (C part) inside the tensor algebra; concatenation
     of normal words is already normal."""

@@ -135,18 +135,6 @@ def nc_scale(p, c):
     return {w: c * v for w, v in p.items()}
 
 
-def nc_neg(p):
-    return {w: -v for w, v in p.items()}
-
-
-def nc_eq(p, r):
-    return p == r
-
-
-def nc_is_zero(p):
-    return not p
-
-
 def leading_word(p):
     return max(p, key=word_key)
 

@@ -10,17 +10,26 @@ QRat({0:1}, {3:1}).
 
 Polynomials are plain dicts {exponent: coefficient} with no zero coefficients
 and no zero-polynomial entries (the zero polynomial is the empty dict).
-Coefficients are exact rationals; gmpy2.mpq is used when available, stdlib
-Fraction otherwise, both with identical semantics for what we do.
+A coefficient is a plain int whenever it is integral and a Fraction only when
+it is not; every QRat keeps that rule, so almost all arithmetic runs on ints.
+
+The gcd behind the canonical form clears denominators and content, then runs
+the heuristic GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 1989) on the
+primitive integer images.  A heuristic candidate is accepted only after it
+divides both inputs exactly over Z, which certifies it as the gcd (see
+_heugcd); after a fixed number of evaluation points the Euclidean algorithm
+over Q takes over, so the result is always exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    QQ = Fraction
+# the exact rational type of non-integral coefficients
+QQ = Fraction
+
+# evaluation points GCDHEU tries before falling back to Euclid over Q
+_HEU_POINTS = 6
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -35,21 +44,41 @@ class PoleAtPoint(ArithmeticError):
     pass
 
 
-# -- QPoly: sparse dict {exp: QQ}, exps >= 0, no zero coefficients --
+def _qq(c):
+    """Exact rational c as an int when integral, else a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-def pzero():
-    return {}
 
+def _qdiv(a, b):
+    """Exact quotient a / b of coefficients, an int when integral."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return quo if not rem else Fraction(a, b)
+    c = a / b
+    return c.numerator if c.denominator == 1 else c
+
+
+def _intify(f):
+    """f with every integral coefficient as an int (f itself if it is)."""
+    for c in f.values():
+        if type(c) is not int:
+            return {k: c.numerator if c.denominator == 1 else c
+                    for k, c in f.items()}
+    return f
+
+
+# -- QPoly: sparse dict {exp: coefficient}, exps >= 0, no zero coefficients --
 
 def pconst(c):
-    c = QQ(c)
+    c = _qq(c)
     return {0: c} if c else {}
 
 
 def pmono(k, c=1):
     if k < 0:
         raise RangeError("QPoly exponents must be nonnegative")
-    c = QQ(c)
+    c = _qq(c)
     return {k: c} if c else {}
 
 
@@ -66,10 +95,6 @@ def padd(f, g):
 
 def pneg(f):
     return {k: -c for k, c in f.items()}
-
-
-def psub(f, g):
-    return padd(f, pneg(g))
 
 
 def pmul(f, g):
@@ -93,18 +118,12 @@ def pmul(f, g):
     return out
 
 
-def pscale(f, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in f.items()}
-
-
 def pdeg(f):
     return max(f) if f else -1
 
 
 def plc(f):
-    return f[max(f)] if f else QQ(0)
+    return f[max(f)] if f else 0
 
 
 def pshift(f, k):
@@ -127,7 +146,7 @@ def pdivmod(f, g):
     lg = plc(g)
     while rem and pdeg(rem) >= dg:
         dr = pdeg(rem)
-        c = rem[dr] / lg
+        c = rem[dr] if lg == 1 else _qdiv(rem[dr], lg)
         quo[dr - dg] = c
         for e, d in g.items():
             k = dr - dg + e
@@ -140,16 +159,111 @@ def pdivmod(f, g):
 
 
 def pgcd(f, g):
-    """Monic gcd via the Euclidean algorithm over Q."""
-    a, b = f, g
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return {}
+    """Monic gcd over Q: certified GCDHEU, Euclid over Q as the fallback."""
+    a = _heugcd(_primitive(f), _primitive(g)) if f and g else None
+    if a is None:
+        a, b = f, g
+        while b:
+            a, b = b, pdivmod(a, b)[1]
+        if not a:
+            return {}
     lc = plc(a)
-    if lc != 1:
-        a = {k: c / lc for k, c in a.items()}
-    return a
+    if lc == 1:
+        return _intify(a)
+    return {k: _qdiv(c, lc) for k, c in a.items()}
+
+
+# -- the heuristic gcd on primitive integer polynomials --
+
+def _primitive(f):
+    """The primitive integer polynomial that is a rational multiple of f."""
+    for c in f.values():
+        if type(c) is not int:
+            den = lcm(*[c.denominator for c in f.values()])
+            f = {k: c.numerator * (den // c.denominator)
+                 for k, c in f.items()}
+            break
+    cont = gcd(*f.values())
+    if cont != 1:
+        f = {k: c // cont for k, c in f.items()}
+    return f
+
+
+def _zeval(f, xi):
+    return sum(c * xi ** k for k, c in f.items())
+
+
+def _genpoly(gamma, xi):
+    """The polynomial h with h(xi) = gamma and coefficients in the
+    symmetric range (-xi/2, xi/2]: the xi-adic digits of gamma."""
+    h = {}
+    half = xi // 2
+    k = 0
+    while gamma:
+        r = gamma % xi
+        if r > half:
+            r -= xi
+        if r:
+            h[k] = r
+        gamma = (gamma - r) // xi
+        k += 1
+    return h
+
+
+def _zdivides(h, f):
+    """True iff the integer polynomial h divides f exactly over Z."""
+    rem = dict(f)
+    dh = max(h)
+    lh = h[dh]
+    while rem:
+        dr = max(rem)
+        if dr < dh:
+            return False
+        c, r = divmod(rem[dr], lh)
+        if r:
+            return False
+        for e, d in h.items():
+            k = dr - dh + e
+            s = rem.get(k, 0) - c * d
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return True
+
+
+def _heugcd(a, b):
+    """gcd of primitive integer polynomials a, b (up to sign), or None.
+
+    Candidate: h = pp(genpoly(gcd(a(xi), b(xi)), xi)).  Certificate
+    (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, Thm 7.7):
+    with xi >= 2*min(|a|_inf, |b|_inf) + 2, if h divides both a and b
+    exactly then h = +-gcd(a, b).  Sketch: h | a, b gives gcd(a, b) = h*k
+    with k in Z[q], and gcd(a, b)(xi) | gamma = c*h(xi), where c is the
+    content of genpoly(gamma), so k(xi) | c.  Every root r of k is a
+    common root of a and b, so |r| < 1 + min(|a|_inf, |b|_inf) <= xi/2
+    (Cauchy), and a nonconstant k has |k(xi)| > (xi/2)^deg(k) >= xi/2;
+    but 1 <= c <= xi/2, since c divides digits bounded by xi/2.  So k is
+    a constant, and a unit because gcd(a, b) is primitive.  A constant
+    candidate divides everything, so it certifies gcd 1 at once.  A
+    candidate that fails the division is discarded; xi then grows (the
+    bound still holds), and after _HEU_POINTS points the caller falls back
+    to Euclid over Q.
+    """
+    if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
+        return {0: 1}
+    dmin = min(max(a), max(b))
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(_HEU_POINTS):
+        h = _genpoly(gcd(_zeval(a, xi), _zeval(b, xi)), xi)
+        if max(h) == 0:
+            return {0: 1}
+        if max(h) <= dmin:
+            h = _primitive(h)
+            if _zdivides(h, a) and _zdivides(h, b):
+                return h
+        xi = xi * 73794 // 27011
+    return None
 
 
 def pvaluation(f):
@@ -158,11 +272,8 @@ def pvaluation(f):
 
 
 def peval(f, q0):
-    q0 = QQ(Fraction(q0))
-    acc = QQ(0)
-    for k, c in f.items():
-        acc += c * q0 ** k
-    return Fraction(int(acc.numerator), int(acc.denominator))
+    q0 = Fraction(q0)
+    return sum((c * q0 ** k for k, c in f.items()), Fraction(0))
 
 
 def ptext(f):
@@ -197,7 +308,7 @@ class QRat:
 
     def __init__(self, num, den=None, _raw=False):
         if den is None:
-            den = {0: QQ(1)}
+            den = {0: 1}
         if _raw:
             self.num = num
             self.den = den
@@ -206,7 +317,7 @@ class QRat:
             raise DivisionByZero("zero denominator in QRat")
         if not num:
             self.num = {}
-            self.den = {0: QQ(1)}
+            self.den = {0: 1}
             return
         # cancel common q-power cheaply, then full gcd
         v = min(pvaluation(num), pvaluation(den))
@@ -221,10 +332,13 @@ class QRat:
         if g and pdeg(g) > 0:
             num = pdivmod(num, g)[0]
             den = pdivmod(den, g)[0]
+        # monic denominator, and integral coefficients as ints
         lc = plc(den)
         if lc != 1:
-            num = {k: c / lc for k, c in num.items()}
-            den = {k: c / lc for k, c in den.items()}
+            num = {k: _qdiv(c, lc) for k, c in num.items()}
+            den = {k: _qdiv(c, lc) for k, c in den.items()}
+        else:
+            num, den = _intify(num), _intify(den)
         self.num = num
         self.den = den
 
@@ -239,7 +353,7 @@ class QRat:
         """q^k for any integer k, negative powers via the denominator."""
         if k >= 0:
             return QRat(pmono(k), None, _raw=True)
-        return QRat({0: QQ(1)}, pmono(-k), _raw=True)
+        return QRat({0: 1}, pmono(-k), _raw=True)
 
     # -- predicates --
 
@@ -327,7 +441,7 @@ class QRat:
 
 
 ZERO = QRat({}, None, _raw=True)
-ONE = QRat({0: QQ(1)}, None, _raw=True)
+ONE = QRat({0: 1}, None, _raw=True)
 
 
 def qrat_text(x):
@@ -350,7 +464,7 @@ def qint(n):
     if n < 0:
         return -qint(-n)
     # [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}: clear to polynomial over q^{n-1}
-    num = {2 * i: QQ(1) for i in range(n)}
+    num = {2 * i: 1 for i in range(n)}
     return QRat(num, pmono(n - 1))
 
 
