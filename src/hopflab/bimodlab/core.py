@@ -15,17 +15,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from ..scalars import ONE, ZERO, QRat
+from ..scalars import ONE, ZERO, PoleAtPoint, QRat
 from ..ncpoly import A, B, C, D, DOUBLE, E, F, HXC, K, KI, word_key
 from ..hopf import act_left, act_right
 from .linalg import (
     Echelon,
+    EchelonModP,
     identity,
     kernel,
     mat_add,
     mat_mul,
     rank_dense,
     rref,
+    specialize,
 )
 from . import vectors as _vectors
 
@@ -374,10 +376,80 @@ def _action_matrices(mod):
     return gens
 
 
-def matrix_span(mats, n, word_cap):
-    """Dimension of the span of all words of length <= word_cap in the
-    given matrices; second value reports whether the search stopped at the
-    length cap with the frontier still growing."""
+# The one-point certificate for matrix_span: q -> SPAN_POINT in GF(SPAN_PRIME).
+# Both are constants, so every result and every work count repeats.
+# SPAN_POINT is a primitive root mod SPAN_PRIME, so q0^k != 1 for
+# 0 < k < p - 1 and no q-integer or cyclotomic factor vanishes there.
+SPAN_PRIME = 2 ** 61 - 1
+SPAN_POINT = 37
+CERT_POINT = "specialization q = %d in GF(%d)" % (SPAN_POINT, SPAN_PRIME)
+CERT_EXACT = "exact over Q(q)"
+
+
+class Span(tuple):
+    """What matrix_span returns: the pair (dim, capped), which callers
+    unpack, and the certificate that decided it (CERT_POINT or CERT_EXACT)
+    as an attribute outside the pair."""
+
+    def __new__(cls, dim, capped, certificate):
+        self = super().__new__(cls, (dim, capped))
+        self.certificate = certificate
+        return self
+
+
+def _full_at_point(mats, n, word_cap):
+    """True when words of length <= word_cap in the matrices, specialized
+    at q = SPAN_POINT in GF(SPAN_PRIME), span all n x n matrices.
+
+    Soundness (Schwartz 1980; Zippel 1979): evaluation at q0 mod p is a
+    ring map from the local ring of ratios whose denominators are units at
+    q0 mod p onto GF(p), and qrat_mod certifies every generator entry lies
+    in that ring, so every word matrix specializes to the product of the
+    specialized generators.  A nonzero n^2 x n^2 minor of flattened
+    specialized words is the image of the same minor over Q(q), which is
+    then nonzero: full rank at q0 implies full rank over Q(q).  This is the
+    pruned breadth-first search of _exact_span over GF(p), and both reach
+    the span of all words of length <= d after d layers; the specialized
+    span is never larger, so reaching n^2 here within word_cap means the
+    exact search reaches it within word_cap too, and returns (n^2, False).
+    A short span, the cap or a pole decides nothing.
+    """
+    p = SPAN_PRIME
+    try:
+        special = [specialize(m, p, SPAN_POINT) for m in mats]
+    except PoleAtPoint:
+        return False
+    # column j of each generator as (row, entry) pairs
+    gens = [[[(i, m[i][j]) for i in range(n) if m[i][j]] for j in range(n)]
+            for m in special]
+    ech = EchelonModP(p)
+    # a word matrix X is the sparse flattening {i * n + j: X[i][j]}
+    ident = {i * n + i: 1 for i in range(n)}
+    ech.insert(ident)
+    layer = [ident]
+    depth = 0
+    full = n * n
+    while layer and depth < word_cap and ech.dim < full:
+        nxt = []
+        for X in layer:
+            for cols in gens:
+                Y = {}
+                for key, v in X.items():
+                    j, t = divmod(key, n)
+                    for i, c in cols[j]:
+                        k = i * n + t
+                        Y[k] = Y.get(k, 0) + c * v
+                Y = {k: c % p for k, c in Y.items() if c % p}
+                if ech.insert(Y):
+                    nxt.append(Y)
+                    if ech.dim == full:
+                        return True
+        layer = nxt
+        depth += 1
+    return False
+
+
+def _exact_span(mats, n, word_cap):
     gens = [_sparse_entries(m) for m in mats]
     ech = Echelon()
     ident = identity(n)
@@ -397,6 +469,20 @@ def matrix_span(mats, n, word_cap):
         layer = nxt
         depth += 1
     return ech.dim, bool(layer) and depth >= word_cap
+
+
+def matrix_span(mats, n, word_cap):
+    """Dimension of the span of all words of length <= word_cap in the
+    given matrices; second value reports whether the search stopped at the
+    length cap with the frontier still growing.
+
+    Full rank is certified first at one point of GF(p) (_full_at_point);
+    anything short of that runs the exact search over Q(q).  The result is
+    the exact one either way; .certificate names the path that decided it.
+    """
+    if _full_at_point(mats, n, word_cap):
+        return Span(n * n, False, CERT_POINT)
+    return Span(*_exact_span(mats, n, word_cap), CERT_EXACT)
 
 
 def operator_span(mod, config=None):
@@ -440,11 +526,17 @@ def is_simple(mod, config=None):
     """True when the spanned operator algebra is all of End(V); False when
     some probe vector generates a proper nonzero stable subspace; None when
     neither test decides within the budget."""
+    return _simplicity(mod, config)[0]
+
+
+def _simplicity(mod, config=None):
+    """is_simple's verdict, with the certificate of a True verdict (the
+    operator span's, see matrix_span) or None."""
     cfg = config or LabConfig()
     n = mod.dim
-    dim, capped = operator_span(mod, cfg)
-    if dim == n * n:
-        return True
+    span = operator_span(mod, cfg)
+    if span[0] == n * n:
+        return True, span.certificate
     probes = []
     for i in range(n):
         e = [ZERO] * n
@@ -459,8 +551,8 @@ def is_simple(mod, config=None):
     for p in probes:
         d = _orbit_dim(mod, p, cap=n)
         if 0 < d < n:
-            return False
-    return None
+            return False, None
+    return None, None
 
 
 # -- decomposition of the left action into simple summands --

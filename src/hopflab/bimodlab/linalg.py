@@ -8,7 +8,7 @@ order, never by coefficient size.
 """
 from __future__ import annotations
 
-from ..scalars import ONE, ZERO
+from ..scalars import ONE, ZERO, qrat_mod
 
 
 class Echelon:
@@ -105,6 +105,61 @@ class Echelon:
         if probe:
             return None
         return out
+
+
+class EchelonModP:
+    """Span of sparse vectors {key: int in [1, p)} over GF(p), p prime,
+    kept for its dimension only.
+
+    The full reduction of Echelon on ints mod p: a stored row holds its
+    pivot coefficient 1 implicitly and no other pivot key, so reducing a
+    vector subtracts each row whose pivot the vector carries, once, in any
+    order.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}  # pivot key -> {key: int} without the pivot key
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def insert(self, vec):
+        """Add vec to the span; True if the dimension grew."""
+        p, rows = self.p, self.rows
+        r = dict(vec)
+        for k in [k for k in r if k in rows]:
+            c = r.pop(k)
+            for k2, c2 in rows[k].items():
+                s = (r.get(k2, 0) - c * c2) % p
+                if s:
+                    r[k2] = s
+                else:
+                    r.pop(k2, None)
+        if not r:
+            return False
+        pivot = max(r)
+        inv = pow(r.pop(pivot), -1, p)
+        r = {k: c * inv % p for k, c in r.items()}
+        for row in rows.values():
+            c = row.pop(pivot, None)
+            if c is None:
+                continue
+            for k2, c2 in r.items():
+                s = (row.get(k2, 0) - c * c2) % p
+                if s:
+                    row[k2] = s
+                else:
+                    row.pop(k2, None)
+        rows[pivot] = r
+        return True
+
+
+def specialize(matrix, p, q0):
+    """The matrix with q -> q0 in GF(p): every entry mapped by qrat_mod,
+    which raises PoleAtPoint for an entry without a value there."""
+    return [[qrat_mod(x, p, q0) for x in row] for row in matrix]
 
 
 # -- dense helpers; matrices are row-major lists of lists of QRat --

@@ -15,16 +15,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..scalars import ONE, QRat
-from ..ncpoly import A, B, C, D, E, F, HXC, K, KI, nc_add_into
+from ..scalars import ONE
+from ..ncpoly import A, B, C, D, E, F, HXC, K, KI, _q, nc_add_into
 
 
 class ParityError(ValueError):
     pass
-
-
-def _q(k):
-    return QRat.q_power(k)
 
 
 _lam = (_q(1) - _q(-1)).inverse()        # 1/(q - q^-1)

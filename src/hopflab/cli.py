@@ -543,10 +543,10 @@ def _cmd_decompose(args):
 
 def _cmd_simple(args):
     mod = _resolve_module(args)
-    verdict = _core.is_simple(mod, _config_of(args))
+    verdict, certificate = _core._simplicity(mod, _config_of(args))
     if verdict is True:
-        print("PASS simple: operator algebra reaches %d x %d"
-              % (mod.dim, mod.dim))
+        print("PASS simple: operator algebra reaches %d x %d (%s)"
+              % (mod.dim, mod.dim, certificate))
         return 0
     if verdict is False:
         print("FAIL not simple: a proper invariant subspace exists")

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import ONE, QRat, ZERO
+from .scalars import ONE, ZERO
 from .ncpoly import (
     A, B, C, CQSL2, D, DOUBLE, E, F, HXC, K, KI, UQSL2,
     C_LETTERS, H_LETTERS, LETTERS, LETTER_NAMES,
-    nc_add_into, nc_scale, nc_unit,
+    _q, nc_add_into, nc_scale, nc_unit,
 )
-
-
-def _q(k):
-    return QRat.q_power(k)
 
 
 # generator coproducts; entries (left leg word, right leg word, coefficient)

@@ -179,7 +179,9 @@ class Presentation:
         self.alphabet = frozenset(alphabet)
         self.rules = dict(rules)
         self._nf = {}
-        self._steps = 0
+        self._steps = 0  # lifetime total of rewrite steps
+        self._depth = 0  # nf_word reductions in progress
+        self._limit = 0  # _steps value the current top-level call may reach
 
     def __repr__(self):
         return "Presentation(%r)" % self.name
@@ -192,7 +194,10 @@ class Presentation:
                     % (LETTER_NAMES[x], self.name))
 
     def nf_word(self, w):
-        """Fully reduced polynomial equal to the word.  Treat as read-only."""
+        """Fully reduced polynomial equal to the word.  Treat as read-only.
+
+        Raises NonTermination when one top-level reduction, recursion
+        included, takes more than _STEP_CAP rewrite steps."""
         cached = self._nf.get(w)
         if cached is not None:
             return cached
@@ -202,14 +207,20 @@ class Presentation:
             rep = rules.get((w[i], w[i + 1]))
             if rep is None:
                 continue
+            if not self._depth:
+                self._limit = self._steps + _STEP_CAP
             self._steps += 1
-            if self._steps > _STEP_CAP:
+            if self._steps > self._limit:
                 raise NonTermination(
                     "rewrite step cap exceeded in %s" % self.name)
             left, right = w[:i], w[i + 2:]
             acc = {}
-            for u, c in rep.items():
-                nc_add_into(acc, self.nf_word(left + u + right), c)
+            self._depth += 1
+            try:
+                for u, c in rep.items():
+                    nc_add_into(acc, self.nf_word(left + u + right), c)
+            finally:
+                self._depth -= 1
             self._nf[w] = acc
             return acc
         res = {w: ONE}

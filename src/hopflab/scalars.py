@@ -488,11 +488,38 @@ def qrat_eval(x, q0):
     """Evaluate at a rational point q0; exact Fraction out.
 
     Raises PoleAtPoint when the canonical denominator vanishes at q0.
-    Used as a probabilistic pre-filter only; equality claims are always
-    certified structurally.
+    Equality claims are always certified structurally; the one-sided
+    full-rank certificate evaluates at a point of GF(p) with qrat_mod.
     """
     q0 = Fraction(q0)
     dv = peval(x.den, q0)
     if dv == 0:
         raise PoleAtPoint("denominator vanishes at q = %s" % q0)
     return peval(x.num, q0) / dv
+
+
+def _pmod(f, p, q0):
+    acc = 0
+    for k, c in f.items():
+        if type(c) is not int:
+            if c.denominator % p == 0:
+                raise PoleAtPoint("coefficient %s has no value mod %d"
+                                  % (c, p))
+            c = c.numerator * pow(c.denominator, -1, p)
+        acc += c * pow(q0, k, p)
+    return acc % p
+
+
+def qrat_mod(x, p, q0):
+    """The image of x under q -> q0 in GF(p), p prime, as an int in [0, p).
+
+    Evaluation is a ring map from the local ring of ratios f/g, with f, g
+    in Z_(p)[q] and g(q0) a unit mod p, onto GF(p).  When x's canonical
+    form shows it lies in that ring (no coefficient denominator divisible
+    by p, denominator nonzero at q0 mod p) the image is returned, so it
+    commutes with sums and products; otherwise PoleAtPoint is raised.
+    """
+    dv = _pmod(x.den, p, q0)
+    if dv == 0:
+        raise PoleAtPoint("denominator vanishes at q = %d mod %d" % (q0, p))
+    return _pmod(x.num, p, q0) * pow(dv, -1, p) % p

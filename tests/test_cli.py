@@ -170,6 +170,8 @@ def test_decompose_verb(capsys):
 def test_simple_verb(capsys):
     code, out, _ = run(capsys, "simple", "--module", "H20")
     assert code == 0 and "PASS simple" in out
+    assert out.strip().endswith(
+        "(specialization q = 37 in GF(2305843009213693951))")
     code, out, _ = run(capsys, "simple", "--seed", "v5", "--seed", "v6")
     assert code == 1 and "FAIL not simple" in out
 
@@ -257,11 +259,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "casimir", "--module", "H11", "--seed", "v3")[0] == 2
 
 
-def test_console_entry_subprocess():
+def test_console_entry_subprocess(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "hopflab.cli", "normalize",
          "--algebra", "uqsl2", "F E"],
-        capture_output=True, text=True)
+        env=child_env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == (
         "E F - (q - q^-1)^-1 K + (q - q^-1)^-1 K^-1")

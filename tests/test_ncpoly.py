@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopflab import ncpoly
 from hopflab.scalars import ONE, QRat
 from hopflab.ncpoly import (
     A, B, C, CQSL2, D, DOUBLE, E, F, HXC, K, KI, UQSL2,
-    AlphabetMismatch, OutOfWindow, Presentation,
+    AlphabetMismatch, NonTermination, OutOfWindow, Presentation,
     coords, enumerate_normal_words, nc_add, nc_mono, nc_mul, nc_scale,
     nc_sub, nc_unit, normal_form, presentation_check, random_normal_word,
     word_key,
@@ -190,3 +191,18 @@ def test_deep_straightening_terminates():
     w2 = (D, C, B, A, F, E) * 2
     nf2 = DOUBLE.nf_word(w2)
     assert all(DOUBLE.is_normal_word(u) for u in nf2)
+
+
+def test_step_cap_applies_to_one_top_level_reduction(monkeypatch):
+    # 64 separate reductions of at most 3 steps each, 54 steps in total,
+    # stay under a cap of 10; one reduction of F^3 E^3 (54 steps) does not
+    monkeypatch.setattr(ncpoly, "_STEP_CAP", 10)
+    pres = Presentation("capped", UQSL2.alphabet, UQSL2.rules)
+    letters = (E, F, K, KI)
+    for w in ((x, y, z) for x in letters for y in letters for z in letters):
+        pres.nf_word(w)
+    assert pres._steps > 10
+    with pytest.raises(NonTermination):
+        pres.nf_word((F, F, F, E, E, E))
+    # the failed reduction leaves the next one its own full budget
+    assert pres.nf_word((E, F, E)) == UQSL2.nf_word((E, F, E))

@@ -5,7 +5,6 @@ validation at use.
 The gcd is cross-checked against a reference Euclidean algorithm over
 Fraction written here, independent of hopflab.scalars.
 """
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -142,8 +141,8 @@ def test_qrat_integral_coefficients_are_ints():
                 {1: Fraction(3), 0: 3}).num == {1: 1, 0: -1}
 
 
-def test_malformed_cap_fails_at_use_not_import():
-    env = dict(os.environ, HOPFLAB_CAP="abc")
+def test_malformed_cap_fails_at_use_not_import(child_env):
+    env = dict(child_env, HOPFLAB_CAP="abc")
     script = (
         "import hopflab.cli\n"
         "from hopflab.bimodlab import LabConfig\n"
