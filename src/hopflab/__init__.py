@@ -7,3 +7,19 @@ simplicity, and checking identities exactly over Q(q).
 """
 
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty the process-global memos: the normal-form memo of every
+    presentation, the action and pairing memos of hopflab.hopf and the
+    standard_module cache.  They are exact and rebuilt on demand, so a long
+    run can call this between tasks to release their memory; results do
+    not change."""
+    from . import hopf, ncpoly
+    from .bimodlab import core
+
+    for pres in ncpoly.PRESENTATIONS.values():
+        pres._nf.clear()
+    for memo in (hopf._left_cache, hopf._right_cache, hopf._pair_cache):
+        memo.clear()
+    core.standard_module.cache_clear()

@@ -531,12 +531,18 @@ def is_simple(mod, config=None):
 
 def _simplicity(mod, config=None):
     """is_simple's verdict, with the certificate of a True verdict (the
-    operator span's, see matrix_span) or None."""
+    operator span's, see matrix_span) or None.
+
+    The one-point certificate runs first, then the probe orbits, and the
+    exact span search last: only a probe can return False, and a module
+    with a proper stable subspace never has the full span (Burnside), so
+    the order changes no verdict and a non-simple module skips the
+    exact search."""
     cfg = config or LabConfig()
     n = mod.dim
-    span = operator_span(mod, cfg)
-    if span[0] == n * n:
-        return True, span.certificate
+    mats = _action_matrices(mod)
+    if _full_at_point(mats, n, cfg.word_cap):
+        return True, CERT_POINT
     probes = []
     for i in range(n):
         e = [ZERO] * n
@@ -552,6 +558,8 @@ def _simplicity(mod, config=None):
         d = _orbit_dim(mod, p, cap=n)
         if 0 < d < n:
             return False, None
+    if _exact_span(mats, n, cfg.word_cap)[0] == n * n:
+        return True, CERT_EXACT
     return None, None
 
 

@@ -17,7 +17,11 @@ with them adjacent the mixed words (p > 0 and n > 0 both) eliminate
 themselves, which is exactly the PBW constraint.
 
 All rules rewrite a length-2 pattern into a normal-form polynomial, applied
-leftmost-first with a per-presentation memo of fully reduced words.  Each rule
+leftmost-first with a per-presentation memo of fully reduced words.  hxc is
+built with its two factors and does not rewrite: a word's normal form is the
+uqsl2 normal form of its H letters times the cqsl2 normal form of its C
+letters (Presentation._nf_factored); its rule table still defines normal
+words and is audited like the others.  Each rule
 strictly decreases word_key, a graded-lex order refined by three intermediate
 grades (cross pairs, determinant letters, inversions); that refinement is what
 makes the determinant rules a d -> 1 + bc and the cross rules terminate.
@@ -172,12 +176,29 @@ class Presentation:
     rules maps a length-2 pattern to its replacement polynomial (whose words
     must already be normal).  The memo is shared by every caller, which is
     what keeps repeated action/closure computations cheap.
+
+    factors = (h, c) declares the presentation the commuting tensor product
+    of h and c: its rules must be exactly h's, c's and the swaps
+    y x -> x y (coefficient 1) for every x of h and y of c.  Such a
+    presentation computes normal forms factor-wise (_nf_factored) instead
+    of rewriting; its rules still serve is_normal_word, the word
+    enumeration and presentation_check.
     """
 
-    def __init__(self, name, alphabet, rules):
+    def __init__(self, name, alphabet, rules, factors=None):
         self.name = name
         self.alphabet = frozenset(alphabet)
         self.rules = dict(rules)
+        self.factors = factors
+        if factors is not None:
+            h, c = factors
+            swaps = {(y, x): {(x, y): ONE}
+                     for x in h.alphabet for y in c.alphabet}
+            if (not h.alphabet.isdisjoint(c.alphabet)
+                    or self.alphabet != h.alphabet | c.alphabet
+                    or self.rules != {**h.rules, **c.rules, **swaps}):
+                raise ValueError("%s is not the commuting tensor product "
+                                 "of %s and %s" % (name, h.name, c.name))
         self._nf = {}
         self._steps = 0  # lifetime total of rewrite steps
         self._depth = 0  # nf_word reductions in progress
@@ -201,6 +222,9 @@ class Presentation:
         cached = self._nf.get(w)
         if cached is not None:
             return cached
+        if self.factors is not None:
+            res = self._nf[w] = self._nf_factored(w)
+            return res
         rules = self.rules
         n = len(w)
         for i in range(n - 1):
@@ -226,6 +250,32 @@ class Presentation:
         res = {w: ONE}
         self._nf[w] = res
         return res
+
+    def _nf_factored(self, w):
+        """Normal form of w as nf_h(H letters of w) * nf_c(C letters of w),
+        the words concatenated and the coefficients multiplied.
+
+        Soundness: the swap rules carry coefficient 1, so w rewrites to
+        hw cw (its H letters, then its C letters, each in order).  Every H
+        rule yields H words only and every C rule C words only, so the
+        factors' reductions of hw and cw are reductions of this
+        presentation too, which reach the sum of u v with coefficient a b
+        over the terms a u of nf_h(hw) and b v of nf_c(cw).  No u v holds a
+        redex: u and v are normal in their factors and no C letter precedes
+        an H letter.  The audited termination and confluence make the
+        normal form unique, so this is it.  Distinct pairs (u, v) give
+        distinct words u v, and products of nonzero scalars are nonzero.
+        """
+        h, c = self.factors
+        hw = tuple(x for x in w if x in h.alphabet)
+        cw = tuple(x for x in w if x not in h.alphabet)
+        hp = h.nf_word(hw)
+        if not cw:
+            return hp
+        cp = c.nf_word(cw)
+        if not hw:
+            return cp
+        return {u + v: a * b for u, a in hp.items() for v, b in cp.items()}
 
     def is_normal_word(self, w):
         rules = self.rules
@@ -383,7 +433,8 @@ def _cross_double():
 UQSL2 = Presentation("uqsl2", H_LETTERS, _h_rules())
 CQSL2 = Presentation("cqsl2", C_LETTERS, _c_rules())
 HXC = Presentation("hxc", LETTERS,
-                   {**_h_rules(), **_c_rules(), **_cross_commuting()})
+                   {**_h_rules(), **_c_rules(), **_cross_commuting()},
+                   factors=(UQSL2, CQSL2))
 DOUBLE = Presentation("double", LETTERS,
                       {**_h_rules(), **_c_rules(op=True), **_cross_double()})
 

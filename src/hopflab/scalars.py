@@ -400,7 +400,12 @@ class QRat:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        return QRat(pmul(self.num, other.num), pmul(self.den, other.den))
+        res = _times_unit(self, other)
+        if res is None:
+            res = _times_unit(other, self)
+        if res is None:
+            res = QRat(pmul(self.num, other.num), pmul(self.den, other.den))
+        return res
 
     def inverse(self):
         if not self.num:
@@ -442,6 +447,36 @@ class QRat:
 
 ZERO = QRat({}, None, _raw=True)
 ONE = QRat({0: 1}, None, _raw=True)
+
+
+def _times_unit(x, u):
+    """x * u when u is a unit monomial s*q^(a-b), s = +-1, else None.
+
+    Soundness: x.num and x.den are coprime, so the only common factor of
+    s*q^a*x.num and q^b*x.den is q^m, m = min(a + v(x.num), b + v(x.den))
+    with v the q-adic valuation; shifting both down by m leaves them
+    coprime.  Shifting and negating keep the denominator monic and every
+    coefficient's type, so the result is the canonical form the
+    constructor would build from the pmul products, without pmul or the
+    gcd.  x is nonzero.
+    """
+    if len(u.num) != 1 or len(u.den) != 1:
+        return None
+    (a, s), = u.num.items()
+    if s != 1 and s != -1:
+        return None
+    (b, _), = u.den.items()  # a canonical one-term denominator is q^b
+    num, den = x.num, x.den
+    m = min(a + min(num), b + min(den))
+    if s == -1:
+        num = pneg(num)
+    elif a == m and b == m:
+        return x
+    if a != m:
+        num = pshift(num, a - m)
+    if b != m:
+        den = pshift(den, b - m)
+    return QRat(num, den, _raw=True)
 
 
 def qrat_text(x):

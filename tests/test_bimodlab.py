@@ -382,3 +382,21 @@ def test_h_lambda_mu_seed_hw_status():
     # themselves highest-weight bivectors (the engine settles each case)
     assert is_hw_bivector(h_lambda_mu_seed(2, 0))
     assert not is_hw_bivector(h_lambda_mu_seed(1, 1))
+
+
+# -- the process-global memos --
+
+def test_clear_caches_empties_every_memo_and_keeps_results():
+    import hopflab
+    from hopflab import hopf, ncpoly
+    from hopflab.bimodlab import core
+
+    before = standard_module("H11")
+    hopflab.clear_caches()
+    assert all(not p._nf for p in ncpoly.PRESENTATIONS.values())
+    assert not (hopf._left_cache or hopf._right_cache or hopf._pair_cache)
+    assert core.standard_module.cache_info().currsize == 0
+    after = standard_module("H11")
+    assert after is not before
+    assert after.basis == before.basis and after.weights == before.weights
+    assert after.left == before.left and after.right == before.right

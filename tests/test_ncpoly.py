@@ -206,3 +206,57 @@ def test_step_cap_applies_to_one_top_level_reduction(monkeypatch):
         pres.nf_word((F, F, F, E, E, E))
     # the failed reduction leaves the next one its own full budget
     assert pres.nf_word((E, F, E)) == UQSL2.nf_word((E, F, E))
+
+
+# hxc normalises factor-wise; this is the same presentation by rewriting
+HXC_REWRITE = Presentation("hxc-rewrite", ncpoly.LETTERS, HXC.rules)
+H_SIDE, C_SIDE = (E, F, K, KI), (A, B, C, D)
+
+
+def test_factored_hxc_matches_rewriting_on_short_words():
+    words = [()]
+    frontier = [()]
+    for _ in range(4):
+        frontier = [w + (x,) for w in frontier for x in ncpoly.LETTERS]
+        words.extend(frontier)
+    assert len(words) == 4681
+    for w in words:
+        assert HXC.nf_word(w) == HXC_REWRITE.nf_word(w), w
+        cut = len(w) // 2
+        mono = {w[:cut]: q(len(w)) * QRat.from_int(-2)}
+        assert (HXC.mul(mono, {w[cut:]: ONE})
+                == HXC_REWRITE.mul(mono, {w[cut:]: ONE})), w
+
+
+@st.composite
+def _interleaved_words(draw, max_len=8):
+    """A word whose H and C letters alternate in runs of random length."""
+    out = []
+    side = draw(st.booleans())
+    while len(out) < max_len and draw(st.booleans()):
+        run = draw(st.lists(st.sampled_from(H_SIDE if side else C_SIDE),
+                            min_size=1, max_size=max_len - len(out)))
+        out.extend(run)
+        side = not side
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interleaved_words(), _interleaved_words(max_len=4),
+       _interleaved_words(max_len=4), st.integers(-3, 3))
+def test_factored_hxc_matches_rewriting_on_random_words(w, u, v, k):
+    assert HXC.nf_word(w) == HXC_REWRITE.nf_word(w)
+    p = {u: q(k), v: QRat.from_int(3)}
+    r = {v: ONE, u + v: -q(-k)}
+    assert HXC.mul(p, r) == HXC_REWRITE.mul(p, r)
+
+
+def test_factors_must_be_the_commuting_tensor_product():
+    assert HXC.factors == (UQSL2, CQSL2)
+    with pytest.raises(ValueError, match="tensor product"):
+        Presentation("bad", ncpoly.LETTERS, DOUBLE.rules,
+                     factors=(UQSL2, CQSL2))
+    rules = dict(HXC.rules)
+    rules[(A, E)] = {(E, A): q(1)}
+    with pytest.raises(ValueError, match="tensor product"):
+        Presentation("bad", ncpoly.LETTERS, rules, factors=(UQSL2, CQSL2))

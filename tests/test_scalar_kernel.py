@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from hopflab import scalars
 from hopflab.bimodlab import LabConfig
-from hopflab.scalars import ONE, QRat, pconst, pgcd, pmono, pmul, qbinom, qint
+from hopflab.scalars import (
+    ONE, QRat, pconst, pgcd, pmono, pmul, qbinom, qint, qrat_text,
+)
 
 
 def ref_gcd(f, g):
@@ -139,6 +141,56 @@ def test_qrat_integral_coefficients_are_ints():
     assert (half * q + half) * QRat(pconst(2)) == q + ONE
     assert QRat({2: Fraction(3), 0: Fraction(-3)},
                 {1: Fraction(3), 0: 3}).num == {1: 1, 0: -1}
+
+
+@st.composite
+def _qrats_with_q_powers(draw):
+    """A canonical QRat built from q^i * f over q^j * g, f and g with int
+    and Fraction coefficients, so q-powers may cancel on either side."""
+    f = draw(polys(st.one_of(small, rational), 4).filter(bool))
+    g = draw(polys(st.one_of(small, rational), 4).filter(bool))
+    i, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return QRat(pmul(pmono(i), f), pmul(pmono(j), g))
+
+
+def _units():
+    return st.builds(lambda k, s: QRat.q_power(k) * QRat.from_int(s),
+                     st.integers(-6, 6), st.sampled_from([1, -1]))
+
+
+def _assert_product_by_constructor(x, u):
+    want = QRat(pmul(x.num, u.num), pmul(x.den, u.den))
+    for got in (x * u, u * x):
+        assert got == want
+        assert qrat_text(got) == qrat_text(want)
+        assert_canonical_coeffs(got.num)
+        assert_canonical_coeffs(got.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qrats_with_q_powers(), _units())
+def test_unit_fast_path_matches_the_constructor(x, u):
+    _assert_product_by_constructor(x, u)
+
+
+def test_unit_fast_path_skips_pmul(monkeypatch):
+    q = QRat.q_power(1)
+    xs = [QRat({2: 1, 0: -1}, {5: 1, 3: -1}),  # (q^2 - 1)/(q^3 (q^2 - 1))
+          QRat({3: 2, 1: Fraction(1, 3)}, {4: 1, 1: 7}),
+          (q + ONE) / (q * q - QRat.from_int(3)), -ONE, ONE]
+    units = [QRat.q_power(k) * QRat.from_int(s)
+             for k in range(-6, 7) for s in (1, -1)]
+    for x in xs:
+        for u in units:
+            _assert_product_by_constructor(x, u)
+
+    def no_pmul(f, g):
+        raise AssertionError("pmul called for a unit factor")
+    monkeypatch.setattr(scalars, "pmul", no_pmul)
+    for x in xs:
+        for u in units:
+            x * u, u * x
+    assert (xs[0] * ONE) is xs[0]
 
 
 def test_malformed_cap_fails_at_use_not_import(child_env):

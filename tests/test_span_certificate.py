@@ -132,3 +132,14 @@ def test_point_is_a_primitive_root():
             rest //= r
     assert rest == 1
     assert all(pow(Q0, (P - 1) // r, P) != 1 for r in primes)
+
+
+def test_non_simple_verdict_skips_the_exact_search(monkeypatch):
+    pair = closure([canonical("v5"), canonical("v6")], name="pair")
+    assert pair.dim == 18
+
+    def no_exact(*args):
+        raise AssertionError("exact span search ran")
+    monkeypatch.setattr(core, "_exact_span", no_exact)
+    assert core.is_simple(pair, LabConfig()) is False
+    assert core._simplicity(pair, LabConfig()) == (False, None)
