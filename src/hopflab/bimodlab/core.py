@@ -16,11 +16,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ..scalars import ONE, ZERO, PoleAtPoint, QRat
-from ..ncpoly import A, B, C, D, DOUBLE, E, F, HXC, K, KI, word_key
+from ..ncpoly import (
+    A, B, C, D, DOUBLE, E, F, HXC, K, KI, nc_add_into, word_key,
+)
 from ..hopf import act_left, act_right
 from .linalg import (
     Echelon,
     EchelonModP,
+    apply,
+    columns,
     identity,
     kernel,
     mat_add,
@@ -148,22 +152,8 @@ class FDBimodule:
     def to_poly(self, coords):
         out = {}
         for c, b in zip(coords, self.basis):
-            if c.is_zero():
-                continue
-            for w, bc in b.items():
-                s = out.get(w, ZERO) + c * bc
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+            nc_add_into(out, b, c)
         return out
-
-    def coord_weight(self, vec):
-        """Weight of a coordinate vector supported on one weight block."""
-        ws = {self.weights[i] for i, c in enumerate(vec) if not c.is_zero()}
-        if len(ws) != 1:
-            raise ValueError("not weight-homogeneous: %s" % (sorted(ws),))
-        return ws.pop()
 
 
 def closure(seeds, side="bi", config=None, name="closure"):
@@ -344,29 +334,6 @@ def casimir_spectrum(mod, side="left"):
 
 # -- simplicity via the spanned operator algebra --
 
-def _sparse_entries(mat):
-    return [(i, j, c) for i, row in enumerate(mat)
-            for j, c in enumerate(row) if not c.is_zero()]
-
-
-def _sparse_mul(entries, X, n):
-    out = [[ZERO] * n for _ in range(n)]
-    for i, j, c in entries:
-        row = out[i]
-        Xj = X[j]
-        for t in range(n):
-            v = Xj[t]
-            if not v.is_zero():
-                row[t] = row[t] + c * v
-    return out
-
-
-def _flat(mat, n):
-    return {i * n + j: mat[i][j]
-            for i in range(n) for j in range(n)
-            if not mat[i][j].is_zero()}
-
-
 def _action_matrices(mod):
     gens = []
     if mod.left is not None:
@@ -397,9 +364,48 @@ class Span(tuple):
         return self
 
 
+def _word_span(mats, n, word_cap, ech, one, clean):
+    """(dim, capped) of the span of all words of length <= word_cap in the
+    matrices, by a pruned breadth-first search: only the words that grew
+    the span are extended, which still reaches the span of all words of
+    length <= d after d layers.
+
+    A word matrix X is the sparse flattening {i * n + j: X[i][j]}.  The
+    caller picks the field: ech is an Echelon or an EchelonModP, one the
+    unit entry of the identity, and clean drops the zero entries of a
+    product (reducing mod p first over GF(p)).  capped reports that the
+    search stopped at the length cap with the frontier still growing.
+    """
+    gens = [columns(m) for m in mats]
+    full = n * n
+    ident = {i * n + i: one for i in range(n)}
+    ech.insert(ident)
+    layer = [ident]
+    depth = 0
+    while layer and depth < word_cap and ech.dim < full:
+        nxt = []
+        for X in layer:
+            for cols in gens:
+                Y = {}
+                for key, v in X.items():
+                    j, t = divmod(key, n)
+                    for i, c in cols[j].items():
+                        k = i * n + t
+                        s = Y.get(k)
+                        Y[k] = c * v if s is None else s + c * v
+                Y = clean(Y)
+                if ech.insert(Y):
+                    nxt.append(Y)
+                    if ech.dim == full:
+                        return full, False
+        layer = nxt
+        depth += 1
+    return ech.dim, bool(layer) and depth >= word_cap
+
+
 def _full_at_point(mats, n, word_cap):
     """True when words of length <= word_cap in the matrices, specialized
-    at q = SPAN_POINT in GF(SPAN_PRIME), span all n x n matrices.
+    at q = SPAN_POINT in GF(SPAN_PRIME), span all n x n matrices, n > 1.
 
     Soundness (Schwartz 1980; Zippel 1979): evaluation at q0 mod p is a
     ring map from the local ring of ratios whose denominators are units at
@@ -408,67 +414,29 @@ def _full_at_point(mats, n, word_cap):
     specialized generators.  A nonzero n^2 x n^2 minor of flattened
     specialized words is the image of the same minor over Q(q), which is
     then nonzero: full rank at q0 implies full rank over Q(q).  This is the
-    pruned breadth-first search of _exact_span over GF(p), and both reach
-    the span of all words of length <= d after d layers; the specialized
-    span is never larger, so reaching n^2 here within word_cap means the
-    exact search reaches it within word_cap too, and returns (n^2, False).
-    A short span, the cap or a pole decides nothing.
+    pruned breadth-first search of _exact_span over GF(p) (both run
+    _word_span), and both reach the span of all words of length <= d after
+    d layers; the specialized span is never larger, so reaching n^2 here
+    within word_cap means the exact search reaches it within word_cap too,
+    and returns (n^2, False).  A short span, the cap or a pole decides
+    nothing.  With n = 1 the identity alone fills the span before any word
+    is searched, which is left to the exact path.
     """
     p = SPAN_PRIME
+    if n < 2:
+        return False
     try:
         special = [specialize(m, p, SPAN_POINT) for m in mats]
     except PoleAtPoint:
         return False
-    # column j of each generator as (row, entry) pairs
-    gens = [[[(i, m[i][j]) for i in range(n) if m[i][j]] for j in range(n)]
-            for m in special]
-    ech = EchelonModP(p)
-    # a word matrix X is the sparse flattening {i * n + j: X[i][j]}
-    ident = {i * n + i: 1 for i in range(n)}
-    ech.insert(ident)
-    layer = [ident]
-    depth = 0
-    full = n * n
-    while layer and depth < word_cap and ech.dim < full:
-        nxt = []
-        for X in layer:
-            for cols in gens:
-                Y = {}
-                for key, v in X.items():
-                    j, t = divmod(key, n)
-                    for i, c in cols[j]:
-                        k = i * n + t
-                        Y[k] = Y.get(k, 0) + c * v
-                Y = {k: c % p for k, c in Y.items() if c % p}
-                if ech.insert(Y):
-                    nxt.append(Y)
-                    if ech.dim == full:
-                        return True
-        layer = nxt
-        depth += 1
-    return False
+    dim, _ = _word_span(special, n, word_cap, EchelonModP(p), 1,
+                        lambda Y: {k: c % p for k, c in Y.items() if c % p})
+    return dim == n * n
 
 
 def _exact_span(mats, n, word_cap):
-    gens = [_sparse_entries(m) for m in mats]
-    ech = Echelon()
-    ident = identity(n)
-    ech.insert(_flat(ident, n))
-    layer = [ident]
-    depth = 0
-    full = n * n
-    while layer and depth < word_cap and ech.dim < full:
-        nxt = []
-        for X in layer:
-            for gm in gens:
-                Y = _sparse_mul(gm, X, n)
-                if ech.insert(_flat(Y, n)):
-                    nxt.append(Y)
-                    if ech.dim == full:
-                        return full, False
-        layer = nxt
-        depth += 1
-    return ech.dim, bool(layer) and depth >= word_cap
+    return _word_span(mats, n, word_cap, Echelon(), ONE,
+                      lambda Y: {k: c for k, c in Y.items() if c})
 
 
 def matrix_span(mats, n, word_cap):
@@ -491,35 +459,36 @@ def operator_span(mod, config=None):
     return matrix_span(_action_matrices(mod), mod.dim, cfg.word_cap)
 
 
-def _orbit_dim(mod, vec, cap=None):
-    n = mod.dim
-    gens = [_sparse_entries(m) for m in _action_matrices(mod)]
+def _orbit(gens, seed, cap=None):
+    """Span generated from the sparse vector seed {i: QRat} by matrices
+    given as sparse columns (linalg.columns): (basis, images).
+
+    The basis is the seed, then every image that grows the span, appended
+    in a fixed breadth-first order as raw action images, never
+    re-normalized; images[t][g] is the image of basis[t] under gens[g].
+    With cap, the search stops once the span reaches cap, and the images
+    of the last basis vectors may be missing.
+    """
     ech = Echelon()
-    start = {i: c for i, c in enumerate(vec) if not c.is_zero()}
-    if not ech.insert(start):
-        return 0
-    queue = [ech.last_row]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        dense = [v.get(i, ZERO) for i in range(n)]
-        for gm in gens:
-            img = {}
-            for i, j, c in gm:
-                t = dense[j]
-                if t.is_zero():
-                    continue
-                s = img.get(i, ZERO) + c * t
-                if s.is_zero():
-                    img.pop(i, None)
-                else:
-                    img[i] = s
+    if not ech.insert(seed):
+        return [], []
+    basis = [seed]
+    images = []
+    while len(images) < len(basis):
+        row = []
+        for cols in gens:
+            img = apply(cols, basis[len(images)])
+            row.append(img)
             if ech.insert(img):
-                queue.append(ech.last_row)
+                basis.append(img)
                 if cap is not None and ech.dim >= cap:
-                    return ech.dim
-    return ech.dim
+                    return basis, images
+        images.append(row)
+    return basis, images
+
+
+def _sparse(vec):
+    return {i: c for i, c in enumerate(vec) if c}
 
 
 def is_simple(mod, config=None):
@@ -543,19 +512,16 @@ def _simplicity(mod, config=None):
     mats = _action_matrices(mod)
     if _full_at_point(mats, n, cfg.word_cap):
         return True, CERT_POINT
-    probes = []
-    for i in range(n):
-        e = [ZERO] * n
-        e[i] = ONE
-        probes.append(e)
+    gens = [columns(m) for m in mats]
     if mod.left is not None and mod.right is not None:
-        probes.extend(_hw_bivector_coords(mod))
+        hw = _hw_bivector_coords(mod)
     elif mod.left is not None:
-        probes.extend(_hw_left_coords(mod))
+        hw = _hw_left_coords(mod)
     else:
-        probes.extend(kernel(mod.right[E]))
+        hw = kernel(mod.right[E])
+    probes = [{i: ONE} for i in range(n)] + [_sparse(v) for v in hw]
     for p in probes:
-        d = _orbit_dim(mod, p, cap=n)
+        d = len(_orbit(gens, p, cap=n)[0])
         if 0 < d < n:
             return False, None
     if _exact_span(mats, n, cfg.word_cap)[0] == n * n:
@@ -587,55 +553,13 @@ class LeftSummand:
         return self.weights[0][0]
 
 
-def _generate_left(mod, seed):
-    """Left-stable span generated from seed, with basis vectors appended in
-    a fixed breadth-first order (raw action images, never re-normalized)."""
-    n = mod.dim
-    local = Echelon()
-    basis = []
-    sd = {i: c for i, c in enumerate(seed) if not c.is_zero()}
-    local.insert(sd)
-    basis.append(list(seed))
-    t = 0
-    while t < len(basis):
-        vec = basis[t]
-        t += 1
-        for g in GENERATORS:
-            img = [ZERO] * n
-            Mg = mod.left[g]
-            for i in range(n):
-                acc = ZERO
-                row = Mg[i]
-                for j, c in enumerate(vec):
-                    if not c.is_zero() and not row[j].is_zero():
-                        acc = acc + row[j] * c
-                img[i] = acc
-            if local.insert({i: c for i, c in enumerate(img)
-                             if not c.is_zero()}):
-                basis.append(img)
-    return basis
-
-
-def _summand_matrices(mod, basis):
-    """Generator matrices on the generated basis, by one exact solve:
-    row-reduce [G | images] where the columns of G are the basis."""
-    n = mod.dim
+def _summand_matrices(n, basis, images):
+    """Generator matrices on a basis generated by _orbit, from the images
+    it recorded, by one exact solve: row-reduce [G | images] where the
+    columns of G are the basis."""
     m = len(basis)
-    images = []
-    for g in GENERATORS:
-        Mg = mod.left[g]
-        for vec in basis:
-            img = [ZERO] * n
-            for i in range(n):
-                acc = ZERO
-                row = Mg[i]
-                for j, c in enumerate(vec):
-                    if not c.is_zero() and not row[j].is_zero():
-                        acc = acc + row[j] * c
-                img[i] = acc
-            images.append(img)
-    aug = [[basis[j][i] for j in range(m)] + [img[i] for img in images]
-           for i in range(n)]
+    rhs = [imgs[gi] for gi in range(len(GENERATORS)) for imgs in images]
+    aug = [[v.get(i, ZERO) for v in basis + rhs] for i in range(n)]
     rows, pivots = rref(aug)
     if pivots[:m] != list(range(m)) or len(pivots) != m:
         raise DecompositionIncomplete("generated basis failed to solve")
@@ -662,20 +586,20 @@ def decompose_left(mod, config=None):
             raise DecompositionIncomplete("inhomogeneous highest-weight seed")
         seeds.append((ws.pop(), v))
     seeds.sort(key=lambda t: -t[0])
+    gens = [columns(mod.left[g]) for g in GENERATORS]
     acc = Echelon()
     out = []
     for _, seed in seeds:
-        sd = {i: c for i, c in enumerate(seed) if not c.is_zero()}
+        sd = _sparse(seed)
         if acc.contains(sd):
             continue
-        basis = _generate_left(mod, seed)
+        basis, images = _orbit(gens, sd)
         for vec in basis:
-            if not acc.insert({i: c for i, c in enumerate(vec)
-                               if not c.is_zero()}):
+            if not acc.insert(vec):
                 raise DecompositionIncomplete(
                     "summands overlap; left action is not a direct sum "
                     "of the generated pieces")
-        mats = _summand_matrices(mod, basis)
+        mats = _summand_matrices(n, basis, images)
         m = len(basis)
         span, capped = matrix_span(list(mats.values()), m, cfg.word_cap)
         if span != m * m:
@@ -685,13 +609,13 @@ def decompose_left(mod, config=None):
                 % (m, span, ", capped" if capped else ""))
         wts = []
         for vec in basis:
-            ws = {mod.weights[i] for i, c in enumerate(vec)
-                  if not c.is_zero()}
+            ws = {mod.weights[i] for i in vec}
             w1 = {a for a, _ in ws}
             if len(w1) != 1:
                 raise DecompositionIncomplete("inhomogeneous summand vector")
             wts.append((w1.pop(), min(b for _, b in ws)))
-        out.append(LeftSummand(list(seed), basis, wts, mats))
+        dense = [[vec.get(i, ZERO) for i in range(n)] for vec in basis]
+        out.append(LeftSummand(list(seed), dense, wts, mats))
     if acc.dim != n:
         raise DecompositionIncomplete(
             "highest-weight seeds span %d of %d" % (acc.dim, n))

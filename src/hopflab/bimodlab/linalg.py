@@ -1,14 +1,18 @@
 """Exact linear algebra over Q(q).
 
-Two flavors: an incremental reduced-echelon span of sparse dict-vectors
-(used for closures, monomial independence, and operator-algebra spans), and
-small dense routines (rank, kernel, inverse checks) for action matrices.
-Everything is deterministic: pivots are chosen by a caller-supplied key
-order, never by coefficient size.
+Three flavors: an incremental reduced-echelon span of sparse dict-vectors
+(Echelon, used for closures, monomial independence, orbits and
+operator-algebra spans, with EchelonModP its rank-only twin over GF(p) for
+the one-point span certificate); sparse columns of a matrix and the
+mat-vec product on them (columns, apply); and small dense routines (rref,
+rank, kernel, products) for action matrices.  Everything is deterministic:
+pivots are chosen by a caller-supplied key order, never by coefficient
+size.
 """
 from __future__ import annotations
 
 from ..scalars import ONE, ZERO, qrat_mod
+from ..ncpoly import nc_add_into
 
 
 class Echelon:
@@ -85,9 +89,6 @@ class Echelon:
         """Stored vectors sorted by pivot key, ascending: canonical."""
         return [dict(self.rows[k]) for k in self._pivots()]
 
-    def pivots(self):
-        return list(self._pivots())
-
     def coords(self, vec):
         """Coordinates of vec in basis() order, or None if outside the span."""
         piv = self._pivots()
@@ -154,6 +155,26 @@ class EchelonModP:
                     row.pop(k2, None)
         rows[pivot] = r
         return True
+
+
+def columns(mat):
+    """Sparse columns of a dense matrix: column j becomes {i: entry}, zero
+    entries left out.  Entries may be QRat or ints mod p."""
+    cols = [{} for _ in (mat[0] if mat else ())]
+    for i, row in enumerate(mat):
+        for j, c in enumerate(row):
+            if c:
+                cols[j][i] = c
+    return cols
+
+
+def apply(cols, vec):
+    """The matrix with sparse columns cols times the sparse vector
+    vec {j: QRat}, as a sparse vector."""
+    out = {}
+    for j, c in vec.items():
+        nc_add_into(out, cols[j], c)
+    return out
 
 
 def specialize(matrix, p, q0):

@@ -218,23 +218,19 @@ def _mix(hpoly, cpoly):
     return out
 
 
-def _slash_right(x, cword):
-    """h <| c = h_(2) phi(c, h_(1)) for a single enveloping letter x."""
+def _contract(x, word, keep):
+    """One coproduct leg of the letter x paired against word, the other
+    leg kept: x_(2) phi(x_(1), word) for keep=2, x_(1) phi(x_(2), word) for
+    keep=1.  The pairing takes the function side first, so word is the
+    enveloping argument when x is a function letter and the function
+    argument when x is an enveloping letter."""
     acc = {}
     for l1, l2, cl in COPRODUCT[x]:
-        v = cl * _pair_words(cword, l1)
+        kept, leg = (l2, l1) if keep == 2 else (l1, l2)
+        v = cl * (_pair_words(leg, word) if x in C_LETTERS
+                  else _pair_words(word, leg))
         if not v.is_zero():
-            nc_add_into(acc, {l2: ONE}, v)
-    return acc
-
-
-def _slash_left(x, hword):
-    """c |> h on the function side: c_(2) phi(c_(1), h) for a single letter x."""
-    acc = {}
-    for l1, l2, cl in COPRODUCT[x]:
-        v = cl * _pair_words(l1, hword)
-        if not v.is_zero():
-            nc_add_into(acc, {l2: ONE}, v)
+            nc_add_into(acc, {kept: ONE}, v)
     return acc
 
 
@@ -244,17 +240,13 @@ def _left_on_letter(g, x):
         if x in H_LETTERS:
             return nc_scale({(x,): ONE}, COUNIT[g])
         # h acts on a function letter through the pairing on the right leg
-        acc = {}
-        for l1, l2, cl in COPRODUCT[x]:
-            v = cl * _pair_words(l2, (g,))
-            if not v.is_zero():
-                nc_add_into(acc, {l1: ONE}, v)
-        return acc
+        return _contract(x, (g,), keep=1)
     if x in H_LETTERS:
         # c |> h = (h <| c_(2)) S(c_(1)) c_(3)
         acc = {}
         for t1, t2, u3, cl in _cop2_letter(g):
-            hpart = _slash_right(x, t2)
+            # h <| c = h_(2) phi(c, h_(1))
+            hpart = _contract(x, t2, keep=2)
             if not hpart:
                 continue
             cpart = CQSL2.mul(antipode(t1, "C"), {u3: ONE})
@@ -282,7 +274,8 @@ def _right_on_letter(x, g):
         # cbar <| h = S(h_(1)) h_(3) (cbar <- h_(2))
         acc = {}
         for t1, t2, u3, cl in _cop2_letter(g):
-            cpart = _slash_left(x, t2)
+            # cbar <- h = cbar_(2) phi(cbar_(1), h)
+            cpart = _contract(x, t2, keep=2)
             if not cpart:
                 continue
             hpart = UQSL2.mul(antipode(t1, "H"), {u3: ONE})
@@ -290,12 +283,7 @@ def _right_on_letter(x, g):
         return acc
     if x in H_LETTERS:
         # hbar <| c = hbar_(1) phi(c, hbar_(2))
-        acc = {}
-        for l1, l2, cl in COPRODUCT[x]:
-            v = cl * _pair_words((g,), l2)
-            if not v.is_zero():
-                nc_add_into(acc, {l1: ONE}, v)
-        return acc
+        return _contract(x, (g,), keep=1)
     return nc_scale({(x,): ONE}, COUNIT[g])
 
 

@@ -197,17 +197,6 @@ def _revalidate(mod):
             for j, b in enumerate(mod.basis):
                 want = act_left((g,), b) if tag == "left" \
                     else act_right(b, (g,))
-                got = {}
-                for i, bb in enumerate(mod.basis):
-                    c = m[i][j]
-                    if c.is_zero():
-                        continue
-                    for w, bc in bb.items():
-                        s = got.get(w, ZERO) + c * bc
-                        if s.is_zero():
-                            got.pop(w, None)
-                        else:
-                            got[w] = s
-                if got != want:
+                if mod.to_poly([row[j] for row in m]) != want:
                     _fail("%s action of %s fails revalidation on basis "
                           "vector %d" % (tag, LETTER_NAMES[g], j))

@@ -1,12 +1,16 @@
 """Closures, weights, Casimir spectra, decompositions, and the transcribed
 reference matrices."""
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopflab.scalars import ONE, QRat, ZERO
+from hopflab.scalars import ONE, QRat, ZERO, qrat_text
 from hopflab.ncpoly import (
-    A, B, C, D, E, F, HXC, K, KI, nc_add_into, random_normal_word,
+    A, B, C, D, E, F, HXC, K, KI, LETTER_NAMES, nc_add_into,
+    random_normal_word,
 )
 from hopflab.hopf import act_left, act_right
 from hopflab.bimodlab import (
@@ -325,6 +329,29 @@ def test_decompose_h20_h02_not_isomorphic():
     assert p20[0].matrices != p02[0].matrices
     c2 = casimir_eigenvalue(2)
     assert summand_spectrum(p20[0]) == [(c2, 3)]
+
+
+# decompose_left output recorded in tests/fixtures/decompose_left.json, by
+# qrat_text: seeds, the generated basis (its order and its unnormalized raw
+# images) and every summand matrix, per generator letter
+DECOMPOSE_PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "decompose_left.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("name", ["H11", "H20", "H02", "4,0"])
+def test_decompose_left_output_pinned(name):
+    if name == "4,0":
+        mod = closure([h_lambda_mu_seed(4, 0)], name="conj(4,0)")
+    else:
+        mod = standard_module(name)
+    got = [{"seed": [qrat_text(c) for c in s.seed],
+            "basis": [[qrat_text(c) for c in v] for v in s.basis],
+            "matrices": {LETTER_NAMES[g]: [[qrat_text(c) for c in row]
+                                           for row in s.matrices[g]]
+                         for g in GENERATORS}}
+           for s in decompose_left(mod)]
+    assert got == DECOMPOSE_PINNED[name]
 
 
 def test_decompose_direct_sum_pair():
