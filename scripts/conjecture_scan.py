@@ -13,6 +13,7 @@ closure of E K^-1: same dimension and mutual containment of bases.
 Usage: python3 scripts/conjecture_scan.py [--max-total 4] [--cap 2048]
 """
 import argparse
+import resource
 import sys
 import time
 
@@ -34,7 +35,7 @@ def scan(max_total, cap):
             if (lam - mu) % 2:
                 continue
             seed = vectors.h_lambda_mu_seed(lam, mu)
-            t0 = time.time()
+            t0 = time.perf_counter()
             try:
                 mod = core.closure([seed], side="bi", config=cfg,
                                    name="conj(%d,%d)" % (lam, mu))
@@ -49,7 +50,7 @@ def scan(max_total, cap):
             print("(%d,%d): closure dim %d, predicted %d -> %s  [%.2fs]"
                   % (lam, mu, mod.dim, want,
                      "conjecture-consistent" if ok else "NOT consistent",
-                     time.time() - t0))
+                     time.perf_counter() - t0))
             if (lam, mu) == (1, 1):
                 ref = core.standard_module("H11")
                 same = (mod.dim == ref.dim
@@ -68,10 +69,14 @@ def main():
     ap.add_argument("--cap", type=int, default=2048,
                     help="closure dimension cap (default 2048)")
     args = ap.parse_args()
+    t0 = time.perf_counter()
     ok = scan(args.max_total, args.cap)
-    print("scan result: %s"
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print("scan result: %s  [%.2fs, peak RSS %.1f MB]"
           % ("all labels conjecture-consistent" if ok
-             else "inconsistencies or unresolved labels above"))
+             else "inconsistencies or unresolved labels above",
+             time.perf_counter() - t0, peak_mb))
     return 0 if ok else 1
 
 

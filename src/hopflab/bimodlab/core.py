@@ -162,6 +162,25 @@ def closure(seeds, side="bi", config=None, name="closure"):
     completion.  Seeds are split into weight components first, so the
     canonical basis is weight-homogeneous throughout.  Raises
     LocalFinitenessExceeded when the dimension passes config.closure_cap.
+
+    The generator matrices are read off the images the span phase computes
+    anyway, with no second action pass and no coordinate solve:
+
+    - Let q_t be the row queued at insertion t (ech.last_row), with pivot
+      p_t.  It was reduced against every row present at insertion t, so it
+      carries no earlier pivot; the echelon keeps every row fully reduced
+      with pivot coefficient 1.  Hence the final basis vector with pivot p_t
+      is b(t) = q_t - sum_k q_t[p_k] b(k), over the rows k inserted after t:
+      the right side lies in the span, has 1 at p_t and 0 at every other
+      pivot, and b(t) is the only such vector.
+    - Every image g.q_t was passed to ech.insert, which reduced it to zero
+      or added it as a row, so it lies in the final span.  In a fully
+      reduced basis the coordinates of a vector of the span are its
+      coefficients at the pivot words.
+    - By linearity, column t of g's matrix is (g.q_t at the final pivots)
+      minus sum_k q_t[p_k] (column k).  Filling the columns in reverse
+      insertion order makes every column k a correction needs already
+      written.  The images of a row are dropped once its columns are.
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be left, right, or bi")
@@ -180,43 +199,55 @@ def closure(seeds, side="bi", config=None, name="closure"):
     for s in homogeneous:
         if ech.insert(s):
             queue.append(ech.last_row)
+    # images[t]: the images of queue[t], generator by generator, left
+    # before right, in the order of mats below
+    images = []
     qi = 0
     while qi < len(queue):
         v = queue[qi]
         qi += 1
+        imgs = []
         for g in GENERATORS:
-            imgs = []
             if use_left:
                 imgs.append(act_left((g,), v))
             if use_right:
                 imgs.append(act_right(v, (g,)))
-            for img in imgs:
-                if ech.insert(img):
-                    if ech.dim > cfg.closure_cap:
-                        raise LocalFinitenessExceeded(
-                            "closure of %s exceeded cap %d"
-                            % (name, cfg.closure_cap))
-                    queue.append(ech.last_row)
+        for img in imgs:
+            if ech.insert(img):
+                if ech.dim > cfg.closure_cap:
+                    raise LocalFinitenessExceeded(
+                        "closure of %s exceeded cap %d"
+                        % (name, cfg.closure_cap))
+                queue.append(ech.last_row)
+        images.append(imgs)
     basis = ech.basis()
     weights = [_weight_strict(b) for b in basis]
     n = len(basis)
+    index = {max(b, key=word_key): i for i, b in enumerate(basis)}
     left = {} if use_left else None
     right = {} if use_right else None
+    mats = []
     for g in GENERATORS:
-        pairs = []
-        if use_left:
-            lm = [[ZERO] * n for _ in range(n)]
-            left[g] = lm
-            pairs.append((lm, lambda b, g=g: act_left((g,), b)))
-        if use_right:
-            rm = [[ZERO] * n for _ in range(n)]
-            right[g] = rm
-            pairs.append((rm, lambda b, g=g: act_right(b, (g,))))
-        for j, b in enumerate(basis):
-            for mat, action in pairs:
-                col = ech.coords(action(b))
-                for i, c in enumerate(col):
+        for side_mats in (left, right):
+            if side_mats is not None:
+                side_mats[g] = [[ZERO] * n for _ in range(n)]
+                mats.append(side_mats[g])
+    for t in reversed(range(len(queue))):
+        q = queue[t]
+        j = index[max(q, key=word_key)]
+        later = [(index[k], c) for k, c in q.items()
+                 if k in index and index[k] != j]
+        for mat, img in zip(mats, images[t]):
+            for k, c in img.items():
+                i = index.get(k)
+                if i is not None:
                     mat[i][j] = c
+            for jk, c in later:
+                for row in mat:
+                    x = row[jk]
+                    if not x.is_zero():
+                        row[j] = row[j] - c * x
+        images[t] = None
     return FDBimodule(name, side, basis, weights, left, right, ech)
 
 

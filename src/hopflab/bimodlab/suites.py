@@ -654,19 +654,11 @@ def lambda_proj(v):
     return out
 
 
-_S_FAMILIES = (
-    ("v1", "v5", lambda b, p: True),
-    ("v1", "v6", lambda b, p: p >= 1),
-    ("v4", "v5", lambda b, p: b >= 1),
-    ("v4", "v6", lambda b, p: b >= 1 and p >= 1),
-)
-
-
 def s_monomial_tuples(max_degree):
     """Factor keys of the spanning set used for the bounded injectivity
     check: the graded families with the leading generator omitted."""
     out = []
-    for mid, tail, keep in _S_FAMILIES:
+    for mid, tail, keep in _HW_FAMILIES:
         for b in range(max_degree + 1):
             for p in range((max_degree - b) // 2 + 1):
                 for s in range(max_degree - b - 2 * p + 1):

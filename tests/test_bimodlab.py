@@ -188,6 +188,35 @@ def test_closure_sides():
         closure([{}])
 
 
+def _v5_plus_v6():
+    seed = dict(canonical("v5"))
+    nc_add_into(seed, canonical("v6"), ONE)
+    return seed
+
+
+@pytest.mark.parametrize("name,side", [
+    ("H11", "bi"), ("H11", "left"), ("H11", "right"),
+    ("H22", "bi"), ("H22", "left"), ("H22", "right"),
+    ("v5+v6", "bi"),
+])
+def test_closure_matrices_match_coordinates_of_actions(name, side):
+    # closure() reads its matrices off the span phase's images, correcting
+    # for queued rows that later insertions rewrote; rebuild every column
+    # by acting on the final basis and solving for coordinates
+    seed = _v5_plus_v6() if name == "v5+v6" else standard_seed(name)
+    mod = closure([seed], side=side)
+    actions = []
+    if mod.left is not None:
+        actions.append((mod.left, lambda g, b: act_left((g,), b)))
+    if mod.right is not None:
+        actions.append((mod.right, lambda g, b: act_right(b, (g,))))
+    for mats, action in actions:
+        for g in GENERATORS:
+            want = [mod.ech.coords(action(g, b)) for b in mod.basis]
+            got = [list(col) for col in zip(*mats[g])]
+            assert got == want, (LETTER_NAMES[g], side)
+
+
 def test_closure_cap_raises():
     with pytest.raises(LocalFinitenessExceeded):
         closure([canonical("v3")], config=LabConfig(closure_cap=5))
@@ -416,13 +445,19 @@ def test_h_lambda_mu_seed_hw_status():
 def test_clear_caches_empties_every_memo_and_keeps_results():
     import hopflab
     from hopflab import hopf, ncpoly
-    from hopflab.bimodlab import core
+    from hopflab.bimodlab import core, suites, vectors
 
     before = standard_module("H11")
+    v1 = canonical("v1")
+    suites.act_on_monomial((E,), (("v1", 1), ("v3", 1)))
+    cached = (core.standard_module, vectors._build, suites._gen_pow,
+              suites._mono, suites._op_legs, suites._act_word_on_key)
+    assert all(f.cache_info().currsize for f in cached)
     hopflab.clear_caches()
     assert all(not p._nf for p in ncpoly.PRESENTATIONS.values())
     assert not (hopf._left_cache or hopf._right_cache or hopf._pair_cache)
-    assert core.standard_module.cache_info().currsize == 0
+    assert all(f.cache_info().currsize == 0 for f in cached)
+    assert canonical("v1") == v1
     after = standard_module("H11")
     assert after is not before
     assert after.basis == before.basis and after.weights == before.weights
