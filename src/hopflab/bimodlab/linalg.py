@@ -115,12 +115,14 @@ class EchelonModP:
     The full reduction of Echelon on ints mod p: a stored row holds its
     pivot coefficient 1 implicitly and no other pivot key, so reducing a
     vector subtracts each row whose pivot the vector carries, once, in any
-    order.
+    order.  A column index names the rows that hold each key, so a new
+    pivot is back-substituted into those rows only.
     """
 
     def __init__(self, p):
         self.p = p
         self.rows = {}  # pivot key -> {key: int} without the pivot key
+        self._holders = {}  # key -> pivots of the stored rows holding it
 
     @property
     def dim(self):
@@ -128,7 +130,7 @@ class EchelonModP:
 
     def insert(self, vec):
         """Add vec to the span; True if the dimension grew."""
-        p, rows = self.p, self.rows
+        p, rows, holders = self.p, self.rows, self._holders
         r = dict(vec)
         for k in [k for k in r if k in rows]:
             c = r.pop(k)
@@ -143,17 +145,22 @@ class EchelonModP:
         pivot = max(r)
         inv = pow(r.pop(pivot), -1, p)
         r = {k: c * inv % p for k, c in r.items()}
-        for row in rows.values():
-            c = row.pop(pivot, None)
-            if c is None:
-                continue
+        for rp in holders.pop(pivot, ()):
+            row = rows[rp]
+            c = row.pop(pivot)
             for k2, c2 in r.items():
                 s = (row.get(k2, 0) - c * c2) % p
-                if s:
-                    row[k2] = s
-                else:
-                    row.pop(k2, None)
+                if not s:
+                    # c * c2 is nonzero mod p, so row held k2
+                    del row[k2]
+                    holders[k2].remove(rp)
+                    continue
+                if k2 not in row:
+                    holders.setdefault(k2, set()).add(rp)
+                row[k2] = s
         rows[pivot] = r
+        for k in r:
+            holders.setdefault(k, set()).add(pivot)
         return True
 
 

@@ -1,13 +1,47 @@
 """Hopf structure maps, the Hopf pairing, and the two-sided action engine.
 
-The double acts on the tensor algebra from both sides.  All sixteen
-generator-on-letter cases reduce to four closed forms per side built from
-coproducts, antipodes and the pairing; everything else follows by the
-module-algebra rule g(uv) = g_(1)(u) g_(2)(v) (and its right-handed mirror)
-peeling one letter at a time, with memo tables keyed by (generator, word).
+The double acts on the tensor algebra hxc from both sides.  A normal hxc
+word is u v: an H-normal word u followed by a C-normal word v.  Each
+generator acts on u once and on v once, in closed form.
 
-The letter-level table is computed, never transcribed: the printed table
-shipped in TABLE_ROWS below exists only as a cross-check fixture for
+The action is a module algebra, g(xy) = g_(1)(x) g_(2)(y) (on the right,
+(xy) <| g = (x <| g_(1)) (y <| g_(2))).  Applied once at the H/C boundary
+it gives g(u v) = g_(1)(u) g_(2)(v).  On letters the actions are
+
+    h |> hbar = eps(h) hbar        h |> cbar = cbar_(1) phi(cbar_(2), h)
+    c |> cbar = S(c_(1)) cbar c_(2)
+    c |> hbar = (hbar_(2) phi(c_(2), hbar_(1))) S(c_(1)) c_(3)
+
+and, mirrored,
+
+    cbar <| c = eps(c) cbar        hbar <| c = hbar_(1) phi(c, hbar_(2))
+    hbar <| h = S(h_(1)) hbar h_(2)
+    cbar <| h = S(h_(1)) h_(3) (cbar_(2) phi(cbar_(1), h_(2))).
+
+On a pure word w the pairing terms become the contraction
+contract(w, g, keep) = w_(keep) phi(w_(other), g) (_contract), which is
+multiplicative because phi(c, xy) = phi(c_(1), x) phi(c_(2), y) and its
+mirror split the pairing by g's coproduct.  H and C letters commute in
+hxc, so for a function generator c
+
+    c |> (u v) = contract(u, c_(2), 2) S(c_(1)) c_(3) S(c_(4)) v c_(5),
+
+and c_(3) S(c_(4)) = eps(c_(3)) collapses the five legs to three (the same
+collapse between the letters of u gives its factor c_(1) |> u).  So
+
+    h |> (u v) = u contract(v, h, 1)
+    c |> (u v) = sum contract(u, c_(2), 2) S(c_(1)) v c_(3)
+    (u v) <| c = contract(u, c, 1) v
+    (u v) <| h = sum S(h_(1)) u h_(3) contract(v, h_(2), 2).
+
+Every term is an H polynomial times a C polynomial, whose words
+concatenate with no rewriting.  The two sides are mirror images under
+swapping H with C, so one routine (_act_word) serves both, with memo
+tables keyed by (generator, word), and the generator-on-letter table is
+read off it on one-letter words.
+
+That table is computed, never transcribed: the printed table shipped in
+TABLE_ROWS below exists only as a cross-check fixture for
 verify_action_tables, which reports any disagreement together with the
 engine's derived value.  Five fixture rows are tagged suspected_typo (four
 duplicated row labels and one copy-paste value); the checker never silently
@@ -19,9 +53,9 @@ from dataclasses import dataclass, field
 
 from .scalars import ONE, ZERO
 from .ncpoly import (
-    A, B, C, CQSL2, D, DOUBLE, E, F, HXC, K, KI, UQSL2,
+    A, B, C, CQSL2, D, E, F, HXC, K, KI, UQSL2,
     C_LETTERS, H_LETTERS, LETTERS, LETTER_NAMES,
-    _q, nc_add_into, nc_scale, nc_unit,
+    _q, nc_add_into, nc_unit,
 )
 
 
@@ -204,87 +238,124 @@ def pairing(c, h):
     return acc
 
 
-# -- letter-level actions (the four closed forms per side) --
+# -- the action engine: closed forms on the two factors of a word --
 
-def _mix(hpoly, cpoly):
-    """Product (H part) * (C part) inside the tensor algebra; concatenation
-    of normal words is already normal."""
+_contract_cache = {}
+_conj_cache = {}
+_left_cache = {}
+_right_cache = {}
+
+
+def _contract(w, leg, keep):
+    """One coproduct leg of the pure word w kept, the other paired against
+    leg (a word of length <= 1 over the other factor's letters):
+    w_(1) phi(w_(2), leg) for keep=1, w_(2) phi(w_(1), leg) for keep=2.
+    The pairing takes the function side first.  Memoised.
+
+    Both phi(xy, h) = phi(x, h_(1)) phi(y, h_(2)) and
+    phi(c, xy) = phi(c_(1), x) phi(c_(2), y) split the pairing of a product
+    by leg's coproduct, so w = head rest contracts as the sum over
+    leg_(1) (x) leg_(2) of contract(head, leg_(1)) contract(rest, leg_(2)),
+    multiplied in w's own factor."""
+    if not leg:
+        return {w: ONE}
+    if not w:
+        return nc_unit(COUNIT[leg[0]])
+    key = (w, leg, keep)
+    val = _contract_cache.get(key)
+    if val is not None:
+        return val
+    val = {}
+    if len(w) == 1:
+        x = w[0]
+        for l1, l2, cl in COPRODUCT[x]:
+            kept, paired = (l2, l1) if keep == 2 else (l1, l2)
+            v = cl * (_pair_words(paired, leg) if x in C_LETTERS
+                      else _pair_words(leg, paired))
+            if not v.is_zero():
+                nc_add_into(val, {kept: ONE}, v)
+    else:
+        pres = CQSL2 if w[0] in C_LETTERS else UQSL2
+        head, rest = w[:1], w[1:]
+        for l1, l2, cl in COPRODUCT[leg[0]]:
+            p1 = _contract(head, l1, keep)
+            if not p1:
+                continue
+            p2 = _contract(rest, l2, keep)
+            if p2:
+                nc_add_into(val, pres.mul(p1, p2), cl)
+    _contract_cache[key] = val
+    return val
+
+
+def _conjugates(g, w):
+    """S(g_(1)) w g_(3) grouped by the middle leg g_(2), for a generator g
+    and a pure word w of g's own factor: a tuple of (g_(2), polynomial)
+    with the empty polynomials left out.  Memoised."""
+    key = (g, w)
+    val = _conj_cache.get(key)
+    if val is not None:
+        return val
+    pres, kind = (UQSL2, "H") if g in H_LETTERS else (CQSL2, "C")
+    by_leg = {}
+    for t1, t2, t3, cl in _cop2_letter(g):
+        p = pres.mul(pres.mul(antipode(t1, kind), {w: ONE}), {t3: ONE})
+        nc_add_into(by_leg.setdefault(t2, {}), p, cl)
+    val = _conj_cache[key] = tuple((t2, p) for t2, p in by_leg.items() if p)
+    return val
+
+
+def _act_word(g, w, conj):
+    """Action of the generator g on the hxc word w = u v (u its H letters,
+    v its C letters): the left action for conj = C_LETTERS, the right one
+    for conj = H_LETTERS, the generators that conjugate their own factor.
+
+    A generator of the other kind acts on its own factor by the counit and
+    contracts the opposite factor with keep=1 (h |> (u v) = u contract(v,
+    h, 1), (u v) <| c = contract(u, c, 1) v); one of kind conj conjugates
+    its own factor and contracts the opposite one against the middle leg
+    (module docstring).  Every term is an H polynomial times a C
+    polynomial, whose words concatenate with no rewriting."""
+    if not HXC.is_normal_word(w):
+        out = {}
+        for x, c in HXC.nf_word(w).items():
+            nc_add_into(out, _act_word(g, x, conj), c)
+        return out
+    i = 0
+    while i < len(w) and w[i] in H_LETTERS:
+        i += 1
+    h_first = g in H_LETTERS
+    own, other = (w[:i], w[i:]) if h_first else (w[i:], w[:i])
+    if g not in conj:
+        p = _contract(other, (g,), 1)
+        if h_first:
+            return {own + x: c for x, c in p.items()}
+        return {x + own: c for x, c in p.items()}
     out = {}
-    for hw, hc in hpoly.items():
-        for cw, cc in cpoly.items():
-            c = hc * cc
-            if not c.is_zero():
-                out[hw + cw] = c
+    for leg, p in _conjugates(g, own):
+        r = _contract(other, leg, 2)
+        hp, cp = (p, r) if h_first else (r, p)
+        nc_add_into(out, {x + y: a * b for x, a in hp.items()
+                          for y, b in cp.items()})
     return out
 
 
-def _contract(x, word, keep):
-    """One coproduct leg of the letter x paired against word, the other
-    leg kept: x_(2) phi(x_(1), word) for keep=2, x_(1) phi(x_(2), word) for
-    keep=1.  The pairing takes the function side first, so word is the
-    enveloping argument when x is a function letter and the function
-    argument when x is an enveloping letter."""
-    acc = {}
-    for l1, l2, cl in COPRODUCT[x]:
-        kept, leg = (l2, l1) if keep == 2 else (l1, l2)
-        v = cl * (_pair_words(leg, word) if x in C_LETTERS
-                  else _pair_words(word, leg))
-        if not v.is_zero():
-            nc_add_into(acc, {kept: ONE}, v)
-    return acc
+def _act_left_word(g, w):
+    """Left action of a single generator on a word; memoised."""
+    key = (g, w)
+    val = _left_cache.get(key)
+    if val is None:
+        val = _left_cache[key] = _act_word(g, w, C_LETTERS)
+    return val
 
 
-def _left_on_letter(g, x):
-    """Left action of a double generator g on a single tensor-algebra letter."""
-    if g in H_LETTERS:
-        if x in H_LETTERS:
-            return nc_scale({(x,): ONE}, COUNIT[g])
-        # h acts on a function letter through the pairing on the right leg
-        return _contract(x, (g,), keep=1)
-    if x in H_LETTERS:
-        # c |> h = (h <| c_(2)) S(c_(1)) c_(3)
-        acc = {}
-        for t1, t2, u3, cl in _cop2_letter(g):
-            # h <| c = h_(2) phi(c, h_(1))
-            hpart = _contract(x, t2, keep=2)
-            if not hpart:
-                continue
-            cpart = CQSL2.mul(antipode(t1, "C"), {u3: ONE})
-            nc_add_into(acc, _mix(hpart, cpart), cl)
-        return acc
-    # c |> cbar = S(c_(1)) cbar c_(2)
-    acc = {}
-    for l1, l2, cl in COPRODUCT[g]:
-        p = CQSL2.mul(CQSL2.mul(antipode(l1, "C"), {(x,): ONE}), {l2: ONE})
-        nc_add_into(acc, p, cl)
-    return acc
-
-
-def _right_on_letter(x, g):
-    """Right action of a double generator g on a single letter."""
-    if g in H_LETTERS:
-        if x in H_LETTERS:
-            # hbar <| h = S(h_(1)) hbar h_(2)
-            acc = {}
-            for l1, l2, cl in COPRODUCT[g]:
-                p = UQSL2.mul(UQSL2.mul(antipode(l1, "H"), {(x,): ONE}),
-                              {l2: ONE})
-                nc_add_into(acc, p, cl)
-            return acc
-        # cbar <| h = S(h_(1)) h_(3) (cbar <- h_(2))
-        acc = {}
-        for t1, t2, u3, cl in _cop2_letter(g):
-            # cbar <- h = cbar_(2) phi(cbar_(1), h)
-            cpart = _contract(x, t2, keep=2)
-            if not cpart:
-                continue
-            hpart = UQSL2.mul(antipode(t1, "H"), {u3: ONE})
-            nc_add_into(acc, _mix(hpart, cpart), cl)
-        return acc
-    if x in H_LETTERS:
-        # hbar <| c = hbar_(1) phi(c, hbar_(2))
-        return _contract(x, (g,), keep=1)
-    return nc_scale({(x,): ONE}, COUNIT[g])
+def _act_right_word(w, g):
+    """Right action of a single generator on a word; memoised."""
+    key = (w, g)
+    val = _right_cache.get(key)
+    if val is None:
+        val = _right_cache[key] = _act_word(g, w, H_LETTERS)
+    return val
 
 
 @dataclass(frozen=True)
@@ -297,72 +368,15 @@ _table = None
 
 
 def gen_action_table():
+    """Every generator on every letter, from both sides, read off the
+    closed forms on one-letter words."""
     global _table
     if _table is None:
-        left = {}
-        right = {}
-        for g in LETTERS:
-            for x in LETTERS:
-                left[(g, x)] = HXC.normal_form(_left_on_letter(g, x))
-                right[(x, g)] = HXC.normal_form(_right_on_letter(x, g))
-        _table = GenActionTable(left, right)
+        _table = GenActionTable(
+            {(g, x): _act_left_word(g, (x,)) for g in LETTERS for x in LETTERS},
+            {(x, g): _act_right_word((x,), g)
+             for g in LETTERS for x in LETTERS})
     return _table
-
-
-# -- extension to arbitrary tensor-algebra elements --
-
-_left_cache = {}
-_right_cache = {}
-
-
-def _act_left_word(g, w):
-    """Left action of a single generator on a normal word; memoised."""
-    if not w:
-        return nc_unit(COUNIT[g])
-    key = (g, w)
-    val = _left_cache.get(key)
-    if val is not None:
-        return val
-    if len(w) == 1:
-        val = gen_action_table().left[(g, w[0])]
-    else:
-        head, rest = w[:1], w[1:]
-        val = {}
-        for l1, l2, cl in COPRODUCT[g]:
-            p1 = ({head: ONE} if not l1 else _act_left_word(l1[0], head))
-            if not p1:
-                continue
-            p2 = ({rest: ONE} if not l2 else _act_left_word(l2[0], rest))
-            if not p2:
-                continue
-            nc_add_into(val, HXC.mul(p1, p2), cl)
-    _left_cache[key] = val
-    return val
-
-
-def _act_right_word(w, g):
-    """Right action of a single generator on a normal word; memoised."""
-    if not w:
-        return nc_unit(COUNIT[g])
-    key = (w, g)
-    val = _right_cache.get(key)
-    if val is not None:
-        return val
-    if len(w) == 1:
-        val = gen_action_table().right[(w[0], g)]
-    else:
-        head, rest = w[:1], w[1:]
-        val = {}
-        for l1, l2, cl in COPRODUCT[g]:
-            p1 = ({head: ONE} if not l1 else _act_right_word(head, l1[0]))
-            if not p1:
-                continue
-            p2 = ({rest: ONE} if not l2 else _act_right_word(rest, l2[0]))
-            if not p2:
-                continue
-            nc_add_into(val, HXC.mul(p1, p2), cl)
-    _right_cache[key] = val
-    return val
 
 
 def act_left(x, v):

@@ -89,10 +89,6 @@ def word_key(w):
 
 # -- polynomial helpers: dict {word: QRat}, never a zero coefficient --
 
-def nc_zero():
-    return {}
-
-
 def nc_unit(c=ONE):
     return {(): c} if not c.is_zero() else {}
 

@@ -456,6 +456,7 @@ def test_clear_caches_empties_every_memo_and_keeps_results():
     hopflab.clear_caches()
     assert all(not p._nf for p in ncpoly.PRESENTATIONS.values())
     assert not (hopf._left_cache or hopf._right_cache or hopf._pair_cache)
+    assert not (hopf._contract_cache or hopf._conj_cache)
     assert all(f.cache_info().currsize == 0 for f in cached)
     assert canonical("v1") == v1
     after = standard_module("H11")

@@ -1,6 +1,11 @@
 """Structure maps, pairing, and the two-sided action engine."""
+import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hopflab
 from hopflab.scalars import ONE, QRat, ZERO
 from hopflab.ncpoly import (
     A, B, C, CQSL2, D, DOUBLE, E, F, HXC, K, KI, UQSL2,
@@ -8,8 +13,9 @@ from hopflab.ncpoly import (
     random_normal_word,
 )
 from hopflab.hopf import (
-    COUNIT, act_left, act_right, antipode, coproduct, counit,
-    gen_action_table, pairing, verify_action_tables,
+    COPRODUCT, COUNIT, _act_left_word, _act_right_word, act_left, act_right,
+    antipode, coproduct, counit, gen_action_table, pairing,
+    verify_action_tables,
 )
 
 
@@ -212,7 +218,6 @@ def test_actions_commute_bimodule_compatibility():
 
 def test_module_algebra_rule():
     # g(uv) = g1(u) g2(v) for every generator on word pairs
-    from hopflab.hopf import COPRODUCT
     rng = random.Random(21)
     for _ in range(40):
         u = random_normal_word(HXC, rng, 2)
@@ -227,3 +232,51 @@ def test_module_algebra_rule():
                 p2 = act_left({l2: ONE}, {v: ONE}) if l2 else {v: ONE}
                 nc_add_into(rhs, nc_mul(p1, p2, HXC), cl)
             assert lhs == rhs, (g, u, v)
+
+
+def _peeled(g, w, left):
+    """Reference action of a generator on a word: the module-algebra
+    rule g(xy) = g_(1)(x) g_(2)(y) (and its right mirror) applied one letter
+    at a time down to the generator table, with no memo.  The table itself
+    is pinned by the printed-table audit."""
+    if not w:
+        return nc_unit(COUNIT[g])
+    if len(w) == 1:
+        table = gen_action_table()
+        return table.left[(g, w[0])] if left else table.right[(w[0], g)]
+    head, rest = w[:1], w[1:]
+    out = {}
+    for l1, l2, cl in COPRODUCT[g]:
+        p1 = _peeled(l1[0], head, left) if l1 else {head: ONE}
+        p2 = _peeled(l2[0], rest, left) if l2 else {rest: ONE}
+        if p1 and p2:
+            nc_add_into(out, HXC.mul(p1, p2), cl)
+    return out
+
+
+def test_closed_forms_match_the_letter_by_letter_rule():
+    # every normal word of length <= 5, and every word of length <= 3,
+    # normal or not (act_left/act_right accept any tensor-algebra element)
+    words = set(enumerate_normal_words(HXC, 5))
+    words.update(itertools.product(range(8), repeat=3))
+    words.update(itertools.product(range(8), repeat=2))
+    for w in sorted(words):
+        for g in range(8):
+            assert _act_left_word(g, w) == _peeled(g, w, True), ("L", g, w)
+            assert _act_right_word(w, g) == _peeled(g, w, False), ("R", g, w)
+
+
+_WORDS8 = enumerate_normal_words(HXC, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_WORDS8),
+       st.lists(st.integers(0, 7), max_size=3).map(tuple),
+       st.booleans())
+def test_memoised_actions_match_a_cold_start(w, op, left):
+    def act():
+        return act_left(op, {w: ONE}) if left else act_right({w: ONE}, op)
+    first = act()
+    warm = act()
+    hopflab.clear_caches()
+    assert first == warm == act()

@@ -15,6 +15,7 @@ from hopflab.bimodlab import core
 from hopflab.bimodlab.core import (
     CERT_EXACT, CERT_POINT, SPAN_POINT, SPAN_PRIME, matrix_span,
 )
+from hopflab.bimodlab.linalg import EchelonModP
 
 P, Q0 = SPAN_PRIME, SPAN_POINT
 
@@ -143,3 +144,38 @@ def test_non_simple_verdict_skips_the_exact_search(monkeypatch):
     monkeypatch.setattr(core, "_exact_span", no_exact)
     assert core.is_simple(pair, LabConfig()) is False
     assert core._simplicity(pair, LabConfig()) == (False, None)
+
+
+def _rank_mod(vecs, p, width):
+    rows = [[v.get(j, 0) % p for j in range(width)] for v in vecs]
+    rank = 0
+    for col in range(width):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 9), st.integers(1, 6),
+                                max_size=5), max_size=12))
+def test_modp_echelon_rank_and_column_index(vecs):
+    p = 7
+    ech = EchelonModP(p)
+    for i, v in enumerate(vecs):
+        grew = ech.insert(v)
+        assert grew == (_rank_mod(vecs[:i + 1], p, 10)
+                        > _rank_mod(vecs[:i], p, 10))
+        holders = {}
+        for piv, row in ech.rows.items():
+            assert not row.keys() & ech.rows.keys()
+            for k in row:
+                holders.setdefault(k, set()).add(piv)
+        assert {k: s for k, s in ech._holders.items() if s} == holders
