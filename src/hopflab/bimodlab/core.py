@@ -19,12 +19,15 @@ from ..scalars import ONE, ZERO, PoleAtPoint, QRat
 from ..ncpoly import (
     A, B, C, D, DOUBLE, E, F, HXC, K, KI, nc_add_into, word_key,
 )
-from ..hopf import act_left, act_right
+from ..hopf import _act_left_word, _act_right_word, act_left, act_right
 from .linalg import (
     Echelon,
     EchelonModP,
     apply,
     columns,
+    frac_add_into,
+    frac_canonical,
+    frac_qrat,
     identity,
     kernel,
     mat_add,
@@ -156,6 +159,19 @@ class FDBimodule:
         return out
 
 
+def action_image(g, v, left):
+    """The image of v under one generator g, acting on the left or on the
+    right, as a sparse vector whose entries are QRats (one contribution,
+    the canonical product) or unreduced pairs (num, den) (several
+    contributions; see linalg.frac_add_into).  No gcd is taken, so an
+    image that turns out to lie in a span costs no canonical form."""
+    out = {}
+    for w, c in v.items():
+        frac_add_into(out, _act_left_word(g, w) if left
+                      else _act_right_word(w, g), c)
+    return out
+
+
 def closure(seeds, side="bi", config=None, name="closure"):
     """Minimal subspace containing the seeds and stable under the chosen
     actions (side in {"left", "right", "bi"}); exact breadth-first span
@@ -163,7 +179,25 @@ def closure(seeds, side="bi", config=None, name="closure"):
     canonical basis is weight-homogeneous throughout.  Raises
     LocalFinitenessExceeded when the dimension passes config.closure_cap.
 
-    The generator matrices are read off the images the span phase computes
+    Span membership is decided on unreduced fractions.  The image of a
+    queued row under a generator other than K, K^-1 is built from the
+    memoised word actions (action_image) with no gcd, and
+    Echelon.contains tests it: every residue entry is a sum of fractions
+    n_i/d_i with every d_i nonzero, which is zero exactly when the
+    numerator over the product of the d_i is the zero polynomial, computed
+    exactly over Q.  So the test is an exact certificate.  Only an image
+    outside the span is put in canonical form and goes through
+    ech.insert; an image inside it keeps its unreduced entries until the
+    matrices are filled, where only its entries at pivot words become
+    canonical.
+
+    The K and K^-1 columns are filled in closed form.  Every basis vector
+    is weight-homogeneous (module docstring), so with weight (w1, w2) it
+    has K |> b = q^w1 b, K^-1 |> b = q^-w1 b, b <| K^-1 = q^w2 b and
+    b <| K = q^-w2 b: those matrices are diagonal, and their images are
+    never computed (each lies in the span, so it would grow nothing).
+
+    The other matrices are read off the images the span phase computes
     anyway, with no second action pass and no coordinate solve:
 
     - Let q_t be the row queued at insertion t (ech.last_row), with pivot
@@ -173,10 +207,9 @@ def closure(seeds, side="bi", config=None, name="closure"):
       is b(t) = q_t - sum_k q_t[p_k] b(k), over the rows k inserted after t:
       the right side lies in the span, has 1 at p_t and 0 at every other
       pivot, and b(t) is the only such vector.
-    - Every image g.q_t was passed to ech.insert, which reduced it to zero
-      or added it as a row, so it lies in the final span.  In a fully
-      reduced basis the coordinates of a vector of the span are its
-      coefficients at the pivot words.
+    - Every image g.q_t was found in the span or added to it, so it lies
+      in the final span.  In a fully reduced basis the coordinates of a
+      vector of the span are its coefficients at the pivot words.
     - By linearity, column t of g's matrix is (g.q_t at the final pivots)
       minus sum_k q_t[p_k] (column k).  Filling the columns in reverse
       insertion order makes every column k a correction needs already
@@ -194,31 +227,31 @@ def closure(seeds, side="bi", config=None, name="closure"):
         raise ZeroVector("no nonzero seed")
     use_left = side in ("left", "bi")
     use_right = side in ("right", "bi")
+    # the generators whose images are computed, and on which side
+    acts = [(g, is_left) for g in GENERATORS if g not in (K, KI)
+            for is_left, used in ((True, use_left), (False, use_right))
+            if used]
     ech = Echelon(word_key)
     queue = []
     for s in homogeneous:
         if ech.insert(s):
             queue.append(ech.last_row)
-    # images[t]: the images of queue[t], generator by generator, left
-    # before right, in the order of mats below
+    # images[t]: the unreduced images of queue[t], in the order of acts
     images = []
     qi = 0
     while qi < len(queue):
         v = queue[qi]
         qi += 1
-        imgs = []
-        for g in GENERATORS:
-            if use_left:
-                imgs.append(act_left((g,), v))
-            if use_right:
-                imgs.append(act_right(v, (g,)))
+        imgs = [action_image(g, v, is_left) for g, is_left in acts]
         for img in imgs:
-            if ech.insert(img):
-                if ech.dim > cfg.closure_cap:
-                    raise LocalFinitenessExceeded(
-                        "closure of %s exceeded cap %d"
-                        % (name, cfg.closure_cap))
-                queue.append(ech.last_row)
+            if ech.contains(img):
+                continue
+            ech.insert(frac_canonical(img))
+            if ech.dim > cfg.closure_cap:
+                raise LocalFinitenessExceeded(
+                    "closure of %s exceeded cap %d"
+                    % (name, cfg.closure_cap))
+            queue.append(ech.last_row)
         images.append(imgs)
     basis = ech.basis()
     weights = [_weight_strict(b) for b in basis]
@@ -226,12 +259,16 @@ def closure(seeds, side="bi", config=None, name="closure"):
     index = {max(b, key=word_key): i for i, b in enumerate(basis)}
     left = {} if use_left else None
     right = {} if use_right else None
-    mats = []
     for g in GENERATORS:
         for side_mats in (left, right):
             if side_mats is not None:
                 side_mats[g] = [[ZERO] * n for _ in range(n)]
-                mats.append(side_mats[g])
+    mats = [(left if is_left else right)[g] for g, is_left in acts]
+    for side_mats, pos, sign in ((left, 0, 1), (right, 1, -1)):
+        if side_mats is not None:
+            for j, wt in enumerate(weights):
+                side_mats[K][j][j] = QRat.q_power(sign * wt[pos])
+                side_mats[KI][j][j] = QRat.q_power(-sign * wt[pos])
     for t in reversed(range(len(queue))):
         q = queue[t]
         j = index[max(q, key=word_key)]
@@ -241,7 +278,7 @@ def closure(seeds, side="bi", config=None, name="closure"):
             for k, c in img.items():
                 i = index.get(k)
                 if i is not None:
-                    mat[i][j] = c
+                    mat[i][j] = frac_qrat(c)
             for jk, c in later:
                 for row in mat:
                     x = row[jk]

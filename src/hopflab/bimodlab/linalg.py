@@ -3,15 +3,16 @@
 Three flavors: an incremental reduced-echelon span of sparse dict-vectors
 (Echelon, used for closures, monomial independence, orbits and
 operator-algebra spans, with EchelonModP its rank-only twin over GF(p) for
-the one-point span certificate); sparse columns of a matrix and the
-mat-vec product on them (columns, apply); and small dense routines (rref,
-rank, kernel, products) for action matrices.  Everything is deterministic:
-pivots are chosen by a caller-supplied key order, never by coefficient
-size.
+the one-point span certificate; Echelon.contains also takes entries left
+as unreduced fractions (num, den) and decides membership with no gcd);
+sparse columns of a matrix and the mat-vec product on them (columns,
+apply); and small dense routines (rref, rank, kernel, products) for action
+matrices.  Everything is deterministic: pivots are chosen by a
+caller-supplied key order, never by coefficient size.
 """
 from __future__ import annotations
 
-from ..scalars import ONE, ZERO, qrat_mod
+from ..scalars import ONE, ZERO, QRat, padd, pmul, pneg, qrat_mod
 from ..ncpoly import nc_add_into
 
 
@@ -35,15 +36,14 @@ class Echelon:
     def reduce(self, vec):
         """Residue of vec modulo the span; the input is not modified."""
         out = dict(vec)
-        # stored rows carry no foreign pivot keys, so one pass is enough
-        for k in sorted(out, key=self.keyfunc, reverse=True):
-            c = out.get(k)
-            if c is None or c.is_zero():
-                continue
-            row = self.rows.get(k)
-            if row is None:
-                continue
-            for k2, c2 in row.items():
+        rows = self.rows
+        # stored rows carry no foreign pivot keys, so subtracting each row
+        # whose pivot vec carries, once and in any order, is enough
+        for k in [k for k in out if k in rows]:
+            c = out.pop(k)
+            for k2, c2 in rows[k].items():
+                if k2 == k:
+                    continue
                 s = out.get(k2, ZERO) - c * c2
                 if s.is_zero():
                     out.pop(k2, None)
@@ -52,7 +52,31 @@ class Echelon:
         return out
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        """True iff vec lies in the span, decided with no gcd.
+
+        Entries of vec may be QRats or unreduced pairs (num, den) of
+        polynomials with den nonzero.  The stored rows are fully reduced
+        with pivot coefficient 1, so the residue of vec is vec minus
+        vec[p] * row_p over the pivots p that vec carries: it is zero at
+        every pivot, and at any other key it is a finite sum of fractions
+        n_i / d_i.  Such a sum is zero in Q(q) exactly when the numerator
+        of sum n_i prod_{j != i} d_j over prod d_j is the zero polynomial,
+        because every d_j is nonzero and Q[q] has no zero divisors.
+        frac_add_into builds that numerator (or one over a common
+        denominator, when two denominators are equal) by exact polynomial
+        products and sums over Q: no canonical form, no specialisation and
+        no probability, so the answer is an exact certificate.
+        """
+        rows = self.rows
+        acc = {k: c for k, c in vec.items() if k not in rows}
+        for p, c in vec.items():
+            row = rows.get(p)
+            if row is None:
+                continue
+            num, den = frac(c)
+            if num:
+                frac_add_into(acc, row, (pneg(num), den), skip=p)
+        return all(frac_is_zero(c) for c in acc.values())
 
     def insert(self, vec):
         """Add vec to the span; True if the dimension grew.  Returns the
@@ -162,6 +186,63 @@ class EchelonModP:
         for k in r:
             holders.setdefault(k, set()).add(pivot)
         return True
+
+
+def frac(x):
+    """(num, den) of an entry that is a QRat or already an unreduced pair."""
+    return (x.num, x.den) if type(x) is QRat else x
+
+
+def frac_is_zero(x):
+    return not frac(x)[0]
+
+
+def frac_qrat(x):
+    """The canonical QRat of an entry that is a QRat or an unreduced pair."""
+    return x if type(x) is QRat else QRat(*x)
+
+
+def frac_canonical(vec):
+    """The sparse vector of canonical QRats equal to vec, whose entries may
+    be unreduced pairs; zero entries are dropped."""
+    out = {}
+    for k, c in vec.items():
+        c = frac_qrat(c)
+        if c:
+            out[k] = c
+    return out
+
+
+def frac_add_into(acc, vec, scale, skip=None):
+    """acc += scale * vec entrywise, in place, with no gcd; vec is a sparse
+    vector of QRats, the key skip is left out.
+
+    Entries of acc are QRats or unreduced pairs (num, den).  A key acc
+    lacks takes the product scale * vec[k] in scale's form: the canonical
+    product when scale is a QRat, the pair of polynomial products when it
+    is a pair.  A key acc holds becomes the unreduced pair of the sum,
+    over the shared denominator when both denominators are equal and over
+    their product otherwise.
+    """
+    canonical = type(scale) is QRat
+    sn, sd = frac(scale)
+    for k, c in vec.items():
+        if k == skip:
+            continue
+        t = acc.get(k)
+        if t is None and canonical:
+            acc[k] = scale * c
+            continue
+        tn, td = pmul(sn, c.num), pmul(sd, c.den)
+        if t is None:
+            acc[k] = (tn, td)
+            continue
+        n, d = frac(t)
+        if d == td:
+            acc[k] = (padd(n, tn), d)
+        else:
+            acc[k] = (padd(pmul(n, td), pmul(tn, d)), pmul(d, td))
+    return acc
 
 
 def columns(mat):

@@ -13,11 +13,12 @@ import hashlib
 import warnings
 
 from . import __version__
-from .scalars import ZERO
+from .scalars import ZERO, pneg
 from .ncpoly import LETTER_NAMES, word_key
-from .hopf import act_left, act_right
-from .bimodlab.linalg import Echelon
-from .bimodlab.core import FDBimodule, GENERATORS, Weight, weight_of
+from .bimodlab.linalg import Echelon, frac_add_into, frac_is_zero
+from .bimodlab.core import (
+    FDBimodule, GENERATORS, Weight, action_image, weight_of,
+)
 from .cli import format_poly, parse_expr, parse_scalar, scalar_text
 
 MAGIC = "hopflab module archive v1"
@@ -185,7 +186,11 @@ def _field(reader, key):
 def _revalidate(mod):
     """Re-check the closure invariant: every recorded matrix column equals
     the engine's action on the corresponding basis vector, and every basis
-    vector is weight-homogeneous with the recorded weight."""
+    vector is weight-homogeneous with the recorded weight.
+
+    Column j of g's matrix M is checked by the membership certificate of
+    Echelon.contains: act(g, b_j) - sum_i M_ij b_i is built on unreduced
+    fractions and must have the zero polynomial as every numerator."""
     for i, b in enumerate(mod.basis):
         if weight_of(b) != mod.weights[i]:
             _fail("basis vector %d does not have its recorded weight" % i)
@@ -195,8 +200,11 @@ def _revalidate(mod):
         for g in GENERATORS:
             m = mats[g]
             for j, b in enumerate(mod.basis):
-                want = act_left((g,), b) if tag == "left" \
-                    else act_right(b, (g,))
-                if mod.to_poly([row[j] for row in m]) != want:
+                diff = action_image(g, b, tag == "left")
+                for row, bi in zip(m, mod.basis):
+                    c = row[j]
+                    if not c.is_zero():
+                        frac_add_into(diff, bi, (pneg(c.num), c.den))
+                if not all(frac_is_zero(x) for x in diff.values()):
                     _fail("%s action of %s fails revalidation on basis "
                           "vector %d" % (tag, LETTER_NAMES[g], j))

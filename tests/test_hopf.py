@@ -17,6 +17,7 @@ from hopflab.hopf import (
     antipode, coproduct, counit, gen_action_table, pairing,
     verify_action_tables,
 )
+from hopflab.bimodlab.core import word_weight
 
 
 def q(k=1):
@@ -264,6 +265,16 @@ def test_closed_forms_match_the_letter_by_letter_rule():
         for g in range(8):
             assert _act_left_word(g, w) == _peeled(g, w, True), ("L", g, w)
             assert _act_right_word(w, g) == _peeled(g, w, False), ("R", g, w)
+
+
+def test_grouplike_generators_act_by_the_word_weight():
+    # closure() fills the K and K^-1 columns in closed form from this
+    for w in enumerate_normal_words(HXC, 4):
+        wl, wr = word_weight(w)
+        assert act_left((K,), w) == {w: q(wl)}, w
+        assert act_left((KI,), w) == {w: q(-wl)}, w
+        assert act_right(w, (KI,)) == {w: q(wr)}, w
+        assert act_right(w, (K,)) == {w: q(-wr)}, w
 
 
 _WORDS8 = enumerate_normal_words(HXC, 8)
