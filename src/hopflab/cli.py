@@ -1,22 +1,35 @@
 """Command-line surface: expression grammar, canonical text rendering, and
 one verb per engine operation.
 
-The grammar is whitespace-insensitive.  Sums of terms; a term is a run of
-juxtaposed factors, optionally divided by scalar factors; a factor is an
-integer, the symbol q, a generator letter, a named canonical vector, a
-parenthesized expression, or a q-commutator [x, y]_w — any of these with an
-integer power.  Negative powers are allowed on K (giving K^-1) and on scalar
-subexpressions.  All output produced by format_poly parses back to the same
-normal form.
+Expressions are read as tokens: an integer, a name (a letter followed by
+letters and digits), or any other single non-space character.  Whitespace
+only separates tokens, so it may stand between any two of them ("q ^ - 2"
+is q^-2) and never changes a value; "EF" is one name, a bare run of
+letters, worth the same as "E F".  Over tokens the grammar is
+
+    expr   := ["-"] term {("+" | "-") term}
+    term   := factor {["*"] factor | "/" factor}
+    factor := integer [power] | "q" [power] | letter [power] | run
+            | vector [power] | "(" expr ")" [power]
+            | "[" expr "," expr "]" ["_" factor]
+    power  := "^" ["-"] integer
+
+where a letter is one of E F K a b c d, a run is a name made only of
+letters, and a vector is a named canonical vector (dotv.. and ddotv..
+alias vdot.. and vddot..).  Juxtaposed factors multiply; [x, y]_w is
+xy - w yx (w = 1 without "_").  A divisor and a commutator weight must be
+scalar.  Negative powers are allowed on K (giving K^-1) and on scalars.
+All output produced by format_poly parses back to the same normal form.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .scalars import (DivisionByZero, ONE, QQ, QRat, RangeError, ZERO,
-                      qrat_text)
+                      padd, pmul, qrat_text)
 from .ncpoly import (A, AlphabetMismatch, B, C, CQSL2, D, DOUBLE, E, F, HXC,
                      K, KI, LETTER_NAMES, UQSL2, nc_add_into, word_key)
 from . import hopf
@@ -161,7 +174,14 @@ def format_poly(p):
     return " ".join(pieces)
 
 
-# -- recursive-descent parser --
+# -- tokenised recursive-descent parser --
+
+# an integer, a name (a letter, then letters and digits), or any other
+# single non-space character; whitespace only separates tokens
+_TOKEN = re.compile(r"\d+|[^\W\d_][^\W_]*|\S")
+
+_UNIT = {0: 1}  # the Laurent polynomial 1; the parser mutates no dict
+
 
 def _named_poly(name):
     base = name
@@ -174,198 +194,280 @@ def _named_poly(name):
     return None
 
 
+def _lmul(a, b):
+    """Product of Laurent polynomials {exp: coefficient} (exponents of any
+    sign); multiplying by 1 is free."""
+    if b == _UNIT:
+        return a
+    if a == _UNIT:
+        return b
+    return pmul(a, b)
+
+
+def _lpow(a, n):
+    acc = _UNIT
+    for _ in range(n):
+        acc = _lmul(acc, a)
+    return acc
+
+
+def _qrat(num, den):
+    """The QRat of the Laurent fraction num/den (den nonzero): one
+    constructor call, so at most one gcd."""
+    if not num:
+        return ZERO
+    m = min(min(num), min(den))
+    if m < 0:
+        num, den = _shift(num, m), _shift(den, m)
+    return QRat(num, den)
+
+
 class _Parser:
+    """Recursive descent over the token list of the text.
+
+    A parsed value is a pair (kind, payload).  A scalar ("s", (num, den))
+    is an unreduced fraction of Laurent polynomials: it becomes a QRat
+    only where it meets a word, or at the end.  A polynomial ("p", p) is a
+    normal-form dict {word: QRat}.  A factor may also be a run of letters
+    ("w", word).
+
+    A term is built as scalar x word x compound factors.  Integers, q
+    powers and scalar subexpressions multiply into one Laurent fraction.
+    Consecutive letters join one word, whose normal form is taken once:
+    nf(w1) nf(w2) = nf(w1 w2).  A junction that is itself a redex closes
+    the word first, so non-normal input is rewritten piece by piece as the
+    factors were written.  Only parenthesised non-scalars, named vectors
+    and commutators go through pres.mul.  The scalar terms of a sum are
+    added as fractions.  So each term, and each run of scalar terms,
+    costs one QRat.
+    """
+
     def __init__(self, text, pres):
         self.text = text
         self.pres = pres
-        self.pos = 0
+        self.toks = _TOKEN.findall(text) + [""]  # "" marks the end
+        self.i = 0
 
-    def error(self, msg, pos=None):
-        pos = self.pos if pos is None else pos
+    def offset(self, at):
+        """Character offset of token number at, or the text's length for
+        the end; computed only for error messages."""
+        for k, m in enumerate(_TOKEN.finditer(self.text)):
+            if k == at:
+                return m.start()
+        return len(self.text)
+
+    def error(self, msg, at=None):
+        pos = self.offset(self.i if at is None else at)
         err = SyntaxError("%s at position %d: %r" % (msg, pos, self.text))
         err.offset = pos
         raise err
 
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.toks[self.i]
 
-    def take(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, tok):
+        if self.toks[self.i] == tok:
+            self.i += 1
             return True
         return False
 
-    def expect(self, ch):
-        if not self.take(ch):
-            self.error("expected %r" % ch)
-
-    def _digits(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected digits")
-        return int(self.text[start:self.pos])
-
-    def _name(self):
-        start = self.pos
-        while (self.pos < len(self.text)
-               and self.text[self.pos].isalnum()):
-            self.pos += 1
-        return self.text[start:self.pos], start
+    def expect(self, tok):
+        if not self.take(tok):
+            self.error("expected %r" % tok)
 
     def _power_suffix(self):
-        if self.peek() != "^":
+        if not self.take("^"):
             return 1
-        self.pos += 1
-        self._skip()
         neg = self.take("-")
-        n = self._digits()
+        tok = self.peek()
+        if not tok[:1].isdigit():
+            self.error("expected digits")
+        self.i += 1
+        n = int(tok)
         return -n if neg else n
 
-    def _scale(self, p, c):
-        return {w: cf * c for w, cf in p.items()} if not c.is_zero() else {}
+    def _scalar_of(self, kind, val):
+        """The value as a Laurent fraction, or None if it is not scalar."""
+        if kind == "s":
+            return val
+        if kind == "w":
+            val = self.pres.nf_word(val)
+        if set(val) <= {()}:
+            c = val.get((), ZERO)
+            return c.num, c.den
+        return None
 
-    def _raise_poly(self, p, n, pos):
-        if n >= 0:
-            return self.pres.power(p, n)
-        if set(p) <= {()}:
-            c = p.get((), ZERO)
-            if c.is_zero():
-                self.error("inverse of zero", pos)
-            return {(): c.inverse() ** (-n)}
-        self.error("negative power of a non-scalar", pos)
+    @staticmethod
+    def _poly_of(kind, val):
+        if kind == "p":
+            return val
+        c = _qrat(*val)
+        return {(): c} if c else {}
+
+    def _close(self, acc, word):
+        """acc (None for 1) times the normal form of word."""
+        if not word:
+            return acc
+        p = self.pres.nf_word(word)
+        return p if acc is None else self.pres.mul(acc, p)
+
+    def _raise(self, kind, val, n, at):
+        s = self._scalar_of(kind, val)
+        if s is None:
+            if n < 0:
+                self.error("negative power of a non-scalar", at)
+            return "p", self.pres.power(val, n)
+        num, den = s
+        if n < 0:
+            if not num:
+                self.error("inverse of zero", at)
+            num, den, n = den, num, -n
+        return "s", (_lpow(num, n), _lpow(den, n))
 
     def parse(self):
-        p = self.expr()
-        self._skip()
-        if self.pos < len(self.text):
+        p = self._poly_of(*self.expr())
+        if self.peek():
             self.error("unexpected trailing input")
         return p
 
     def expr(self):
-        neg = False
-        if self.peek() == "-":
-            self.pos += 1
-            neg = True
-        acc = dict(self.term())
-        if neg:
-            acc = self._scale(acc, -ONE)
+        neg = self.take("-")
+        acc = {}
+        snum, sden = {}, _UNIT
         while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                nc_add_into(acc, self.term(), ONE)
-            elif ch == "-":
-                self.pos += 1
-                nc_add_into(acc, self.term(), -ONE)
+            kind, val = self.term(neg)
+            if kind == "p":
+                nc_add_into(acc, val)
             else:
-                return acc
+                num, den = val
+                if not snum:
+                    snum, sden = num, den
+                elif den == sden:
+                    snum = padd(snum, num)
+                elif num:
+                    snum = padd(_lmul(snum, den), _lmul(num, sden))
+                    sden = _lmul(sden, den)
+            tok = self.peek()
+            if tok != "+" and tok != "-":
+                break
+            self.i += 1
+            neg = tok == "-"
+        if not acc:
+            return "s", (snum, sden)
+        if snum:
+            nc_add_into(acc, {(): _qrat(snum, sden)})
+        return "p", acc
 
-    _FACTOR_START = "([" + "0123456789"
-
-    def term(self):
-        acc = self.factor()
+    def term(self, neg):
+        num, den = ({0: -1} if neg else _UNIT), _UNIT
+        acc = None  # the product of the closed words and compound factors
+        word = ()   # the letters since
+        kind, val = self.factor()
         while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                acc = self.pres.mul(acc, self.factor())
-            elif ch == "/":
-                pos = self.pos
-                self.pos += 1
-                div = self.factor()
-                if set(div) <= {()}:
-                    c = div.get((), ZERO)
-                    if c.is_zero():
-                        raise DivisionByZero(
-                            "division by zero at position %d" % pos)
-                    acc = self._scale(acc, c.inverse())
+            if not num:
+                pass  # a zero term multiplies nothing more
+            elif kind == "w":
+                if word and val and (word[-1], val[0]) in self.pres.rules:
+                    acc, word = self._close(acc, word), ()
+                word += val
+            else:
+                s = self._scalar_of(kind, val)
+                if s is not None:
+                    num, den = _lmul(num, s[0]), _lmul(den, s[1])
                 else:
-                    self.error("division by a non-scalar", pos)
-            elif ch and (ch.isalnum() or ch in self._FACTOR_START):
-                acc = self.pres.mul(acc, self.factor())
-            else:
-                return acc
+                    acc = self._close(acc, word)
+                    acc = val if acc is None else self.pres.mul(acc, val)
+                    word = ()
+            while self.peek() == "/":
+                at = self.i
+                self.i += 1
+                s = self._scalar_of(*self.factor())
+                if s is None:
+                    self.error("division by a non-scalar", at)
+                if not s[0]:
+                    raise DivisionByZero(
+                        "division by zero at position %d" % self.offset(at))
+                num, den = _lmul(num, s[1]), _lmul(den, s[0])
+            tok = self.peek()
+            if tok == "*":
+                self.i += 1
+            elif not (tok[:1].isalnum() or tok == "(" or tok == "["):
+                break
+            kind, val = self.factor()
+        if not num or acc is None and not word:
+            return "s", (num, den)
+        acc = self._close(acc, word)
+        c = _qrat(num, den)
+        if c.is_one():
+            return "p", acc
+        return "p", {w: v * c for w, v in acc.items()}
 
     def factor(self):
-        ch = self.peek()
-        pos = self.pos
-        if ch == "(":
-            self.pos += 1
-            p = self.expr()
+        at = self.i
+        tok = self.peek()
+        if tok == "(":
+            self.i += 1
+            kind, val = self.expr()
             self.expect(")")
             n = self._power_suffix()
-            return self._raise_poly(p, n, pos) if n != 1 else p
-        if ch == "[":
-            return self.commutator()
-        if ch.isdigit():
-            n = self._digits()
+            return (kind, val) if n == 1 else self._raise(kind, val, n, at)
+        if tok == "[":
+            return "p", self.commutator()
+        if tok[:1].isdigit():
+            self.i += 1
+            n = int(tok)
             e = self._power_suffix()
-            c = QRat.from_int(n)
-            if e < 0:
-                if c.is_zero():
-                    self.error("inverse of zero", pos)
-                c = c.inverse() ** (-e)
-            else:
-                c = c ** e
-            return {(): c} if not c.is_zero() else {}
-        if ch.isalpha():
-            name, start = self._name()
-            if name == "q":
-                e = self._power_suffix()
-                return {(): QRat.q_power(e)}
-            if name in _LETTER_OF:
-                return self.letter_power(_LETTER_OF[name], start)
-            p = _named_poly(name)
+            if e >= 0:
+                n **= e
+                return "s", ({0: n} if n else {}, _UNIT)
+            if not n:
+                self.error("inverse of zero", at)
+            return "s", (_UNIT, {0: n ** -e})
+        if tok[:1].isalpha():
+            self.i += 1
+            if tok == "q":
+                return "s", ({self._power_suffix(): 1}, _UNIT)
+            if tok in _LETTER_OF:
+                return "w", self.letter_power(_LETTER_OF[tok], at)
+            p = _named_poly(tok)
             if p is not None:
                 n = self._power_suffix()
                 for w in p:
                     self.pres.check_word(w)
-                p = dict(p)
-                return self._raise_poly(p, n, start) if n != 1 else p
-            if all(c in _LETTER_OF for c in name):
+                return ("p", p) if n == 1 else self._raise("p", p, n, at)
+            if all(c in _LETTER_OF for c in tok):
                 # bare letter run like "EFac"
-                word = tuple(_LETTER_OF[c] for c in name)
-                for g in word:
-                    self.pres.check_word((g,))
-                return self.pres.normal_form({word: ONE})
+                word = tuple(_LETTER_OF[c] for c in tok)
+                self.pres.check_word(word)
+                return "w", word
             raise UnknownSymbol(
-                "unknown symbol %r at position %d" % (name, start))
+                "unknown symbol %r at position %d" % (tok, self.offset(at)))
         self.error("expected a factor")
 
-    def letter_power(self, g, pos):
+    def letter_power(self, g, at):
         n = self._power_suffix()
         if n == 0:
-            return {(): ONE}
+            return ()
         if n < 0:
             if g != K:
-                self.error("negative power of a non-invertible letter", pos)
+                self.error("negative power of a non-invertible letter", at)
             g, n = KI, -n
         self.pres.check_word((g,))
-        return self.pres.normal_form({(g,) * n: ONE})
+        return (g,) * n
 
     def commutator(self):
-        pos = self.pos
         self.expect("[")
-        x = self.expr()
+        x = self._poly_of(*self.expr())
         self.expect(",")
-        y = self.expr()
+        y = self._poly_of(*self.expr())
         self.expect("]")
         wgt = ONE
-        if self.peek() == "_":
-            self.pos += 1
-            wpos = self.pos
-            p = self.factor()
-            if set(p) <= {()}:
-                wgt = p.get((), ZERO)
-            else:
-                self.error("commutator weight must be scalar", wpos)
+        if self.take("_"):
+            at = self.i
+            s = self._scalar_of(*self.factor())
+            if s is None:
+                self.error("commutator weight must be scalar", at)
+            wgt = _qrat(*s)
         acc = self.pres.mul(x, y)
         nc_add_into(acc, self.pres.mul(y, x), -wgt)
         return acc

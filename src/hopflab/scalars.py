@@ -408,9 +408,22 @@ class QRat:
         return res
 
     def inverse(self):
+        """den/num in canonical form, with no gcd.
+
+        The canonical pair (num, den) is already coprime, so (den, num) is
+        too: it only needs its new denominator num made monic.  Dividing
+        both sides by lc(num) does that, and _qdiv keeps integral
+        coefficients as ints; with lc(num) = 1 both sides are already
+        canonical and are shared (instances are immutable).
+        """
         if not self.num:
             raise DivisionByZero("inverse of zero in Q(q)")
-        return QRat(dict(self.den), dict(self.num))
+        lc = plc(self.num)
+        if lc == 1:
+            return QRat(self.den, self.num, _raw=True)
+        return QRat({k: _qdiv(c, lc) for k, c in self.den.items()},
+                    {k: _qdiv(c, lc) for k, c in self.num.items()},
+                    _raw=True)
 
     def __truediv__(self, other):
         if not isinstance(other, QRat):

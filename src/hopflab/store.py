@@ -13,8 +13,8 @@ import hashlib
 import warnings
 
 from . import __version__
-from .scalars import ZERO, pneg
-from .ncpoly import LETTER_NAMES, word_key
+from .scalars import ZERO, QRat, pneg
+from .ncpoly import K, KI, LETTER_NAMES, word_key
 from .bimodlab.linalg import Echelon, frac_add_into, frac_is_zero
 from .bimodlab.core import (
     FDBimodule, GENERATORS, Weight, action_image, weight_of,
@@ -190,21 +190,34 @@ def _revalidate(mod):
 
     Column j of g's matrix M is checked by the membership certificate of
     Echelon.contains: act(g, b_j) - sum_i M_ij b_i is built on unreduced
-    fractions and must have the zero polynomial as every numerator."""
+    fractions and must have the zero polynomial as every numerator.
+
+    The K and K^-1 matrices are checked in closed form, as closure() fills
+    them.  Once b_j is known to have weight (w1, w2), K |> b_j = q^w1 b_j,
+    K^-1 |> b_j = q^-w1 b_j, b_j <| K^-1 = q^w2 b_j and b_j <| K = q^-w2 b_j;
+    the basis is independent, so the only correct column j is q^(+-w) at
+    row j and zero elsewhere."""
     for i, b in enumerate(mod.basis):
         if weight_of(b) != mod.weights[i]:
             _fail("basis vector %d does not have its recorded weight" % i)
-    for tag, mats in (("left", mod.left), ("right", mod.right)):
+    for tag, mats, pos, sign in (("left", mod.left, 0, 1),
+                                 ("right", mod.right, 1, -1)):
         if mats is None:
             continue
         for g in GENERATORS:
             m = mats[g]
             for j, b in enumerate(mod.basis):
-                diff = action_image(g, b, tag == "left")
-                for row, bi in zip(m, mod.basis):
-                    c = row[j]
-                    if not c.is_zero():
-                        frac_add_into(diff, bi, (pneg(c.num), c.den))
-                if not all(frac_is_zero(x) for x in diff.values()):
+                if g == K or g == KI:
+                    e = mod.weights[j][pos] * (sign if g == K else -sign)
+                    ok = m[j][j] == QRat.q_power(e) and all(
+                        row[j].is_zero() for i, row in enumerate(m) if i != j)
+                else:
+                    diff = action_image(g, b, tag == "left")
+                    for row, bi in zip(m, mod.basis):
+                        c = row[j]
+                        if not c.is_zero():
+                            frac_add_into(diff, bi, (pneg(c.num), c.den))
+                    ok = all(frac_is_zero(x) for x in diff.values())
+                if not ok:
                     _fail("%s action of %s fails revalidation on basis "
                           "vector %d" % (tag, LETTER_NAMES[g], j))

@@ -193,6 +193,24 @@ def test_unit_fast_path_skips_pmul(monkeypatch):
     assert (xs[0] * ONE) is xs[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(_qrats_with_q_powers(), _units())
+def test_inverse_matches_the_constructor(x, u):
+    for y in (x, x * u, -x):
+        got = y.inverse()
+        want = QRat(dict(y.den), dict(y.num))
+        assert got == want
+        assert qrat_text(got) == qrat_text(want)
+        assert_canonical_coeffs(got.num)
+        assert_canonical_coeffs(got.den)
+        assert got.inverse() == y
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(scalars.DivisionByZero):
+        scalars.ZERO.inverse()
+
+
 def test_malformed_cap_fails_at_use_not_import(child_env):
     env = dict(child_env, HOPFLAB_CAP="abc")
     script = (

@@ -96,6 +96,28 @@ def test_edited_matrix_entry_fails_revalidation(tmp_path):
         store.load_module(path)
 
 
+@pytest.mark.parametrize("matrix", ("left K", "left K^-1", "right K",
+                                    "right K^-1"))
+@pytest.mark.parametrize("where", ("diagonal", "off-diagonal"))
+def test_edited_k_matrix_entry_fails_revalidation(tmp_path, matrix, where):
+    # the K and K^-1 matrices are checked in closed form, not by acting
+    mod = core.standard_module("H11")
+    path = tmp_path / "m.hopflab"
+    store.save_module(mod, path)
+    body, _, _ = path.read_text().rpartition("checksum ")
+    lines = body.splitlines()
+    at = lines.index("matrix %s" % matrix) + 1
+    i, j, c = lines[at].split(" ", 2)
+    assert i == j  # the matrix is diagonal
+    if where == "diagonal":
+        lines[at] = "%s %s %s q" % (i, j, c)
+    else:
+        lines.insert(at + 1, "%s %d 1" % (j, (int(j) + 1) % mod.dim))
+    path.write_text(_reseal("\n".join(lines) + "\n"))
+    with pytest.raises(store.CorruptArchive, match="revalidation"):
+        store.load_module(path)
+
+
 def test_dependent_basis_rejected(tmp_path):
     mod = core.standard_module("H20")
     path = tmp_path / "m.hopflab"
