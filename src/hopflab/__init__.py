@@ -13,10 +13,9 @@ def clear_caches():
     """Empty the process-global memos: the normal-form memo of every
     presentation, the action, contraction, conjugation and pairing memos
     of hopflab.hopf, the standard_module cache, the canonical-vector cache
-    and the power, monomial, coproduct-leg and factored-action caches of
-    the suites.  They are exact and rebuilt on demand, so a long run can
-    call this between tasks to release their memory; results do not
-    change."""
+    and the power and monomial caches of the suites.  They are exact and
+    rebuilt on demand, so a long run can call this between tasks to
+    release their memory; results do not change."""
     from . import hopf, ncpoly
     from .bimodlab import core, suites, vectors
 
@@ -26,5 +25,5 @@ def clear_caches():
                  hopf._conj_cache, hopf._pair_cache):
         memo.clear()
     for cached in (core.standard_module, vectors._build, suites._gen_pow,
-                   suites._mono, suites._op_legs, suites._act_word_on_key):
+                   suites._mono):
         cached.cache_clear()

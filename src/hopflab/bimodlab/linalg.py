@@ -1,14 +1,15 @@
 """Exact linear algebra over Q(q).
 
-Three flavors: an incremental reduced-echelon span of sparse dict-vectors
-(Echelon, used for closures, monomial independence, orbits and
-operator-algebra spans, with EchelonModP its rank-only twin over GF(p) for
-the one-point span certificate; Echelon.contains also takes entries left
-as unreduced fractions (num, den) and decides membership with no gcd);
-sparse columns of a matrix and the mat-vec product on them (columns,
-apply); and small dense routines (rref, rank, kernel, products) for action
-matrices.  Everything is deterministic: pivots are chosen by a
-caller-supplied key order, never by coefficient size.
+Echelon is the one reduction: an incremental reduced-echelon span of
+sparse dict-vectors, used for closures, monomial independence, orbits and
+operator-algebra spans (Echelon.contains also takes entries left as
+unreduced fractions (num, den) and decides membership with no gcd), with
+EchelonModP its rank-only twin over GF(p) for the one-point span
+certificate.  Sparse columns of a matrix and the mat-vec product on them
+(columns, apply).  Dense products of action matrices, and rref, kernel and
+rank_dense, which read the rows of an Echelon.  Everything is
+deterministic: pivots are chosen by a caller-supplied key order, never by
+coefficient size.
 """
 from __future__ import annotations
 
@@ -114,22 +115,12 @@ class Echelon:
         return [dict(self.rows[k]) for k in self._pivots()]
 
     def coords(self, vec):
-        """Coordinates of vec in basis() order, or None if outside the span."""
-        piv = self._pivots()
-        out = [vec.get(k, ZERO) for k in piv]
-        probe = dict(vec)
-        for k, c in zip(piv, out):
-            if c.is_zero():
-                continue
-            for k2, c2 in self.rows[k].items():
-                s = probe.get(k2, ZERO) - c * c2
-                if s.is_zero():
-                    probe.pop(k2, None)
-                else:
-                    probe[k2] = s
-        if probe:
+        """Coordinates of vec in basis() order, or None if outside the span.
+        The rows are fully reduced with pivot coefficient 1, so inside the
+        span the coordinates are vec's own entries at the pivots."""
+        if self.reduce(vec):
             return None
-        return out
+        return [vec.get(k, ZERO) for k in self._pivots()]
 
 
 class EchelonModP:
@@ -308,33 +299,19 @@ def mat_add(Am, Bm, ca=ONE, cb=ONE):
 
 
 def rref(rows):
-    """Reduced row echelon form of dense rows (copy); returns
-    (rref_rows_without_zero_rows, pivot_column_indices)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form of dense rows; returns
+    (rref_rows_without_zero_rows, pivot_column_indices).
+
+    An Echelon keyed on -column takes the leftmost nonzero column as pivot,
+    normalises it to 1 and fully reduces; the RREF of a matrix is unique,
+    so its rows, read in ascending pivot order, are the RREF."""
     m = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(m):
-        sel = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            c = rows[i][col]
-            if c.is_zero():
-                continue
-            rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
+    ech = Echelon(lambda j: -j)
+    for r in rows:
+        ech.insert({j: c for j, c in enumerate(r) if c})
+    pivots = sorted(ech.rows)
+    return [[ech.rows[p].get(j, ZERO) for j in range(m)]
+            for p in pivots], pivots
 
 
 def rank_dense(Am):

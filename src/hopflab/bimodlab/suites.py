@@ -18,7 +18,7 @@ from ..ncpoly import (
     DOUBLE, HXC, LETTER_NAMES,
     _q, enumerate_normal_words, leading_word, nc_add_into, word_key,
 )
-from ..hopf import COPRODUCT, act_left, act_right
+from ..hopf import act_left, act_right
 from .linalg import Echelon
 from . import vectors as _vectors
 from .core import is_hw_bivector, standard_module, standard_seed
@@ -94,7 +94,7 @@ class SuiteReport:
         return "\n".join([head] + ["  " + l for l in self.lines()])
 
 
-# -- cached powers, monomials, and the factored left action --
+# -- cached powers and monomials, and the left action on monomials --
 
 @lru_cache(maxsize=None)
 def _gen_pow(name, k):
@@ -121,48 +121,10 @@ def _mono(key):
     return out
 
 
-@lru_cache(maxsize=None)
-def _op_legs(word):
-    """Coproduct legs of an operator word: pairs of words with scalar,
-    obtained by convolving the letter coproducts in order."""
-    legs = (((), (), ONE),)
-    for g in word:
-        legs = tuple((w1 + u1, w2 + u2, cl * cu)
-                     for (w1, w2, cl) in legs
-                     for (u1, u2, cu) in COPRODUCT[g])
-    return legs
-
-
-@lru_cache(maxsize=None)
-def _act_word_on_key(op_word, key):
-    """Left action of an operator word on a cached monomial, computed at
-    factor granularity: the word acts on the first factor power through one
-    coproduct leg and on the remaining factors through the other."""
-    if len(key) <= 1:
-        return act_left(op_word, _mono(key))
-    first, rest = key[:1], key[1:]
-    out = {}
-    for w1, w2, cl in _op_legs(op_word):
-        p1 = _act_word_on_key(w1, first)
-        if not p1:
-            continue
-        p2 = _act_word_on_key(w2, rest)
-        if not p2:
-            continue
-        nc_add_into(out, HXC.mul(p1, p2), cl)
-    return out
-
-
 def act_on_monomial(op, key):
     """Left action of an operator (word tuple or element dict) on the
     monomial with the given (name, exponent) factor key."""
-    if isinstance(op, tuple):
-        op = {op: ONE}
-    out = {}
-    for w, cf in op.items():
-        if not cf.is_zero():
-            nc_add_into(out, _act_word_on_key(w, _strip(key)), cf)
-    return out
+    return act_left(op, _mono(_strip(key)))
 
 
 # -- defining relations annihilate the module --

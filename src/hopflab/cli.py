@@ -176,9 +176,16 @@ def format_poly(p):
 
 # -- tokenised recursive-descent parser --
 
-# an integer, a name (a letter, then letters and digits), or any other
+# an ASCII integer, a name (a letter, then letters and digits), or any other
 # single non-space character; whitespace only separates tokens
-_TOKEN = re.compile(r"\d+|[^\W\d_][^\W_]*|\S")
+_TOKEN = re.compile(r"[0-9]+|[^\W\d_][^\W_]*|\S")
+
+
+def _is_int(tok):
+    """True for an integer token: ASCII digits only, since str.isdigit
+    also accepts digits like '²' that int() rejects."""
+    return tok.isascii() and tok.isdigit()
+
 
 _UNIT = {0: 1}  # the Laurent polynomial 1; the parser mutates no dict
 
@@ -280,7 +287,7 @@ class _Parser:
             return 1
         neg = self.take("-")
         tok = self.peek()
-        if not tok[:1].isdigit():
+        if not _is_int(tok):
             self.error("expected digits")
         self.i += 1
         n = int(tok)
@@ -413,7 +420,7 @@ class _Parser:
             return (kind, val) if n == 1 else self._raise(kind, val, n, at)
         if tok == "[":
             return "p", self.commutator()
-        if tok[:1].isdigit():
+        if _is_int(tok):
             self.i += 1
             n = int(tok)
             e = self._power_suffix()

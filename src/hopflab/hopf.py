@@ -98,12 +98,7 @@ def counit(p):
         p = {p: ONE}
     acc = ZERO
     for w, coeff in p.items():
-        val = coeff
-        for x in w:
-            val = val * COUNIT[x]
-            if val.is_zero():
-                break
-        acc = acc + val
+        acc = acc + coeff * _word_counit(w)
     return acc
 
 

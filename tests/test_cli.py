@@ -259,6 +259,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "casimir", "--module", "H11", "--seed", "v3")[0] == 2
 
 
+@pytest.mark.parametrize("text", ["E^\u00b2", "\u00b2", "q^\u0663"])
+def test_non_ascii_digits_are_usage_errors(capsys, text):
+    # superscript two and Arabic-Indic three are digits to str.isdigit,
+    # but not integers of the grammar
+    code, out, err = run(capsys, "normalize", text)
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
 def test_console_entry_subprocess(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "hopflab.cli", "normalize",
