@@ -98,26 +98,21 @@ def nc_mono(word, c=ONE):
 
 
 def nc_add_into(acc, p, scale=ONE):
-    """acc += scale * p, in place; p is not modified."""
-    if scale.is_zero():
+    """acc += scale * p, in place; p is not modified.  Zero and ONE are
+    tested by attribute and identity; a scale equal to 1 that is not the
+    ONE instance is multiplied in, with the same result."""
+    if not scale.num:
         return acc
-    if scale.is_one():
-        for w, c in p.items():
-            s = acc.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-    else:
-        for w, c in p.items():
-            s = acc.get(w)
-            t = scale * c
-            s = t if s is None else s + t
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
+    for w, c in p.items():
+        if scale is not ONE:
+            c = scale * c
+        s = acc.get(w)
+        if s is not None:
+            c = s + c
+            if not c.num:
+                del acc[w]
+                continue
+        acc[w] = c
     return acc
 
 

@@ -13,12 +13,38 @@ and no zero-polynomial entries (the zero polynomial is the empty dict).
 A coefficient is a plain int whenever it is integral and a Fraction only when
 it is not; every QRat keeps that rule, so almost all arithmetic runs on ints.
 
-The gcd behind the canonical form clears denominators and content, then runs
-the heuristic GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 1989) on the
-primitive integer images.  A heuristic candidate is accepted only after it
-divides both inputs exactly over Z, which certifies it as the gcd (see
-_heugcd); after a fixed number of evaluation points the Euclidean algorithm
-over Q takes over, so the result is always exact.
+Products and sums go down a ladder of exact fast paths, ordered by what the
+action engine computes (its structure constants are all +-q^k), and only
+what none of them takes reaches the general constructor and its gcd:
+
+    ONE                  x * ONE is x, ONE * x is x
+    monomial * monomial  c*q^i * d*q^j = (c*d)*q^(i+j), by coefficient and
+                         exponent arithmetic (_monomial)
+    monomial * anything  a shift and a scaling of the other operand
+                         (_times_unit); a factor +-q^k returns the operand
+                         itself or shifts or negates it
+    Laurent * Laurent    pmul of the numerators over q^(a+b), then one
+                         q-valuation shift (_laurent_times)
+    Laurent + Laurent    the numerators over the larger q^b, then one
+                         q-valuation shift (_laurent_add)
+
+A monomial is c*q^k, c != 0 (one-term numerator and denominator): a unit
+of the Laurent ring Q[q, q^-1].  A Laurent value is one whose denominator
+is q^b.  Each rung states next to its code why its result is already
+canonical; the three invariants it rests on are a monic q^b denominator,
+coprimality decided by the q-adic valuation alone, and ints for integral
+coefficients.  The signed powers +-q^k with |k| <= INTERN_BOUND are
+interned (_monomial): q_power, negation and monomial products hand out one
+shared instance per value, and ONE is the interned q^0.  Instances are
+never mutated, so sharing them and their num/den dicts is safe.
+
+The gcd behind the general constructor clears denominators and content,
+then runs the heuristic GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput.
+1989) on the primitive integer images.  A heuristic candidate is accepted
+only after it divides both inputs exactly over Z, which certifies it as the
+gcd (see _heugcd), and those certificate divisions also give the cofactors
+the constructor divides out; after a fixed number of evaluation points the
+Euclidean algorithm over Q takes over, so the result is always exact.
 """
 from __future__ import annotations
 
@@ -30,6 +56,11 @@ QQ = Fraction
 
 # evaluation points GCDHEU tries before falling back to Euclid over Q
 _HEU_POINTS = 6
+
+# the signed powers +-q^k with |k| <= INTERN_BOUND are interned; the table
+# holds at most 2 * (2 * INTERN_BOUND + 1) instances, filled as values are
+# first used, so importing builds none of them
+INTERN_BOUND = 1024
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -158,19 +189,48 @@ def pdivmod(f, g):
     return quo, rem
 
 
-def pgcd(f, g):
-    """Monic gcd over Q: certified GCDHEU, Euclid over Q as the fallback."""
-    a = _heugcd(_primitive(f), _primitive(g)) if f and g else None
-    if a is None:
+def pgcd(f, g, cofactors=False):
+    """Monic gcd over Q: certified GCDHEU, Euclid over Q as the fallback.
+
+    With cofactors, the triple (gcd, f / gcd, g / gcd) for nonzero gcd.  The
+    heuristic's certificate divisions a = h*qa, b = h*qb of the primitive
+    images a = r*f, b = s*g give the quotients without dividing again:
+    f / gcd is the rational multiple of qa with f's leading coefficient
+    (both sides have degree deg f - deg gcd and differ by a constant).  The
+    Euclidean fallback divides with pdivmod.
+    """
+    res = _heugcd(_primitive(f), _primitive(g)) if f and g else None
+    if res is None:
         a, b = f, g
         while b:
             a, b = b, pdivmod(a, b)[1]
         if not a:
-            return {}
-    lc = plc(a)
-    if lc == 1:
-        return _intify(a)
-    return {k: _qdiv(c, lc) for k, c in a.items()}
+            return ({}, f, g) if cofactors else {}
+        lc = plc(a)
+        if lc != 1:
+            a = {k: _qdiv(c, lc) for k, c in a.items()}
+        else:
+            a = _intify(a)
+        if cofactors:
+            return a, pdivmod(f, a)[0], pdivmod(g, a)[0]
+        return a
+    h, qa, qb = res
+    if max(h) == 0:
+        return ({0: 1}, f, g) if cofactors else {0: 1}
+    lc = plc(h)
+    a = h if lc == 1 else {k: _qdiv(c, lc) for k, c in h.items()}
+    if cofactors:
+        return a, _rescaled(qa, plc(f)), _rescaled(qb, plc(g))
+    return a
+
+
+def _rescaled(f, lead):
+    """The rational multiple of the integer polynomial f whose leading
+    coefficient is lead."""
+    lf = plc(f)
+    if lf == lead:
+        return f
+    return {k: _qdiv(c * lead, lf) for k, c in f.items()}
 
 
 # -- the heuristic gcd on primitive integer polynomials --
@@ -211,17 +271,20 @@ def _genpoly(gamma, xi):
 
 
 def _zdivides(h, f):
-    """True iff the integer polynomial h divides f exactly over Z."""
+    """f / h if the integer polynomial h divides f exactly over Z, else
+    None."""
     rem = dict(f)
+    quo = {}
     dh = max(h)
     lh = h[dh]
     while rem:
         dr = max(rem)
         if dr < dh:
-            return False
+            return None
         c, r = divmod(rem[dr], lh)
         if r:
-            return False
+            return None
+        quo[dr - dh] = c
         for e, d in h.items():
             k = dr - dh + e
             s = rem.get(k, 0) - c * d
@@ -229,11 +292,12 @@ def _zdivides(h, f):
                 rem[k] = s
             else:
                 rem.pop(k, None)
-    return True
+    return quo
 
 
 def _heugcd(a, b):
-    """gcd of primitive integer polynomials a, b (up to sign), or None.
+    """(h, a / h, b / h) with h the gcd of the primitive integer polynomials
+    a, b (up to sign), or None.
 
     Candidate: h = pp(genpoly(gcd(a(xi), b(xi)), xi)).  Certificate
     (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, Thm 7.7):
@@ -245,23 +309,28 @@ def _heugcd(a, b):
     (Cauchy), and a nonconstant k has |k(xi)| > (xi/2)^deg(k) >= xi/2;
     but 1 <= c <= xi/2, since c divides digits bounded by xi/2.  So k is
     a constant, and a unit because gcd(a, b) is primitive.  A constant
-    candidate divides everything, so it certifies gcd 1 at once.  A
-    candidate that fails the division is discarded; xi then grows (the
-    bound still holds), and after _HEU_POINTS points the caller falls back
-    to Euclid over Q.
+    candidate divides everything, so it certifies gcd 1 at once (with a, b
+    as their own cofactors).  The two certificate divisions are exact, so
+    their quotients are the cofactors.  A candidate that fails a division
+    is discarded; xi then grows (the bound still holds), and after
+    _HEU_POINTS points the caller falls back to Euclid over Q.
     """
+    one = {0: 1}
     if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
-        return {0: 1}
+        return one, a, b
     dmin = min(max(a), max(b))
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     for _ in range(_HEU_POINTS):
         h = _genpoly(gcd(_zeval(a, xi), _zeval(b, xi)), xi)
         if max(h) == 0:
-            return {0: 1}
+            return one, a, b
         if max(h) <= dmin:
             h = _primitive(h)
-            if _zdivides(h, a) and _zdivides(h, b):
-                return h
+            qa = _zdivides(h, a)
+            if qa is not None:
+                qb = _zdivides(h, b)
+                if qb is not None:
+                    return h, qa, qb
         xi = xi * 73794 // 27011
     return None
 
@@ -301,7 +370,12 @@ class QRat:
     """Canonical ratio of q-polynomials: coprime, monic denominator.
 
     Structural equality coincides with equality in Q(q); instances are
-    immutable by convention (nothing mutates .num/.den after construction).
+    immutable by convention (nothing mutates .num/.den after construction),
+    so values and their dicts are shared freely: x * ONE is x, and each
+    signed power +-q^k with |k| <= INTERN_BOUND is one interned instance.
+    Products and sums take the exact fast paths of the module docstring
+    before the general constructor, whose gcd cofactors come from the
+    gcd's own certificate divisions.
     """
 
     __slots__ = ("num", "den")
@@ -324,14 +398,11 @@ class QRat:
         if v:
             num = pshift(num, -v)
             den = pshift(den, -v)
-        if len(den) == 1 or len(num) == 1:
-            # after the q-power cancellation a monomial side forces gcd 1
-            g = None
-        else:
-            g = pgcd(num, den)
-        if g and pdeg(g) > 0:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
+        # after the q-power cancellation a monomial side forces gcd 1
+        if len(den) > 1 and len(num) > 1:
+            g, qn, qd = pgcd(num, den, cofactors=True)
+            if pdeg(g) > 0:
+                num, den = qn, qd
         # monic denominator, and integral coefficients as ints
         lc = plc(den)
         if lc != 1:
@@ -350,10 +421,9 @@ class QRat:
 
     @staticmethod
     def q_power(k):
-        """q^k for any integer k, negative powers via the denominator."""
-        if k >= 0:
-            return QRat(pmono(k), None, _raw=True)
-        return QRat({0: 1}, pmono(-k), _raw=True)
+        """q^k for any integer k, negative powers via the denominator;
+        interned for |k| <= INTERN_BOUND."""
+        return _monomial(1, k)
 
     # -- predicates --
 
@@ -378,17 +448,26 @@ class QRat:
     def __add__(self, other):
         if not isinstance(other, QRat):
             return NotImplemented
-        if not self.num:
+        num, onum = self.num, other.num
+        if not num:
             return other
-        if not other.num:
+        if not onum:
             return self
-        if self.den == other.den:
-            return QRat(padd(self.num, other.num), self.den)
-        num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-        return QRat(num, pmul(self.den, other.den))
+        den, oden = self.den, other.den
+        if len(den) == 1 and len(oden) == 1:
+            return _laurent_add(num, den, onum, oden)
+        if den == oden:
+            return QRat(padd(num, onum), den)
+        return QRat(padd(pmul(num, oden), pmul(onum, den)), pmul(den, oden))
 
     def __neg__(self):
-        return QRat(pneg(self.num), self.den, _raw=True)
+        num = self.num
+        if len(num) == 1 and len(self.den) == 1:
+            (a, c), = num.items()
+            if c == 1 or c == -1:
+                (b, _), = self.den.items()
+                return _monomial(-c, a - b)
+        return QRat(pneg(num), self.den, _raw=True)
 
     def __sub__(self, other):
         if not isinstance(other, QRat):
@@ -398,14 +477,25 @@ class QRat:
     def __mul__(self, other):
         if not isinstance(other, QRat):
             return NotImplemented
-        if not self.num or not other.num:
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
+        num, onum = self.num, other.num
+        if not num or not onum:
             return ZERO
-        res = _times_unit(self, other)
-        if res is None:
-            res = _times_unit(other, self)
-        if res is None:
-            res = QRat(pmul(self.num, other.num), pmul(self.den, other.den))
-        return res
+        if len(self.den) == 1:
+            if len(num) == 1:
+                if len(onum) == 1 and len(other.den) == 1:
+                    return _mono_times_mono(self, other)
+                return _times_unit(other, self)
+            if len(other.den) == 1:
+                if len(onum) == 1:
+                    return _times_unit(self, other)
+                return _laurent_times(self, other)
+        elif len(onum) == 1 and len(other.den) == 1:
+            return _times_unit(self, other)
+        return QRat(pmul(num, onum), pmul(self.den, other.den))
 
     def inverse(self):
         """den/num in canonical form, with no gcd.
@@ -461,35 +551,118 @@ class QRat:
 ZERO = QRat({}, None, _raw=True)
 ONE = QRat({0: 1}, None, _raw=True)
 
+# interned signed powers, by sign and then by exponent (_monomial)
+_POWERS = {1: {0: ONE}, -1: {}}
+
+
+def _monomial(c, k):
+    """The canonical c*q^k for a nonzero coefficient c, which becomes an
+    int when integral; for c = +-1 and |k| <= INTERN_BOUND the one
+    interned instance."""
+    if type(c) is not int and c.denominator == 1:
+        c = c.numerator
+    signed = c == 1 or c == -1
+    if signed:
+        u = _POWERS[c].get(k)
+        if u is not None:
+            return u
+    if k >= 0:
+        u = QRat({k: c}, None, _raw=True)
+    else:
+        u = QRat({0: c}, {-k: 1}, _raw=True)
+    if signed and -INTERN_BOUND <= k <= INTERN_BOUND:
+        _POWERS[c][k] = u
+    return u
+
+
+def _mono_times_mono(x, y):
+    """x * y for monomials x = c*q^i, y = d*q^j: (c*d)*q^(i+j).
+
+    A canonical one-term denominator is q^b (monic), so a monomial's value
+    is c*q^(a-b); the product's canonical form is the one-term ratio of
+    that value, which _monomial builds.  A product of two Fractions (or of
+    a Fraction and an int) may be integral, and _monomial turns it into an
+    int."""
+    (a, c), = x.num.items()
+    (b, _), = x.den.items()
+    (a2, c2), = y.num.items()
+    (b2, _), = y.den.items()
+    return _monomial(c * c2, a - b + a2 - b2)
+
 
 def _times_unit(x, u):
-    """x * u when u is a unit monomial s*q^(a-b), s = +-1, else None.
+    """x * u for a monomial u = c*q^(a-b), a unit of Q[q, q^-1], and any
+    nonzero x.
 
     Soundness: x.num and x.den are coprime, so the only common factor of
-    s*q^a*x.num and q^b*x.den is q^m, m = min(a + v(x.num), b + v(x.den))
+    c*q^a*x.num and q^b*x.den is q^m, m = min(a + v(x.num), b + v(x.den))
     with v the q-adic valuation; shifting both down by m leaves them
-    coprime.  Shifting and negating keep the denominator monic and every
-    coefficient's type, so the result is the canonical form the
+    coprime.  Shifting keeps the denominator monic and negating keeps every
+    coefficient's type, so for c = +-1 the result is the canonical form the
     constructor would build from the pmul products, without pmul or the
-    gcd.  x is nonzero.
-    """
-    if len(u.num) != 1 or len(u.den) != 1:
-        return None
-    (a, s), = u.num.items()
-    if s != 1 and s != -1:
-        return None
-    (b, _), = u.den.items()  # a canonical one-term denominator is q^b
+    gcd, and for c = 1 with no shift it is x itself.  Any other c scales
+    the numerator, whose integral products become ints."""
+    (a, c), = u.num.items()
+    (b, _), = u.den.items()
     num, den = x.num, x.den
     m = min(a + min(num), b + min(den))
-    if s == -1:
-        num = pneg(num)
-    elif a == m and b == m:
-        return x
-    if a != m:
-        num = pshift(num, a - m)
-    if b != m:
-        den = pshift(den, b - m)
+    a -= m
+    b -= m
+    if c == 1:
+        if not a and not b:
+            return x
+        if a:
+            num = {e + a: d for e, d in num.items()}
+    elif c == -1:
+        num = {e + a: -d for e, d in num.items()}
+    else:
+        num = _intify({e + a: c * d for e, d in num.items()})
+    if b:
+        den = {e + b: d for e, d in den.items()}
     return QRat(num, den, _raw=True)
+
+
+def _laurent_times(x, y):
+    """x * y for Laurent values x = f/q^a, y = g/q^b.
+
+    Soundness: f*g over q^(a+b) has a monic denominator, and q is prime in
+    Q[q], so the only common factor of f*g and q^(a+b) is q^m,
+    m = min(v(f*g), a + b); shifting both down by m leaves them coprime.
+    pmul of int coefficients gives ints; a sum of Fraction products may be
+    integral, so the numerator is made to follow the int rule."""
+    num = pmul(x.num, y.num)
+    (a, _), = x.den.items()
+    (b, _), = y.den.items()
+    b += a
+    m = min(min(num), b) if b else 0
+    if m:
+        num = {e - m: c for e, c in num.items()}
+        b -= m
+    return QRat(_intify(num), {b: 1}, _raw=True)
+
+
+def _laurent_add(f, fd, g, gd):
+    """f/fd + g/gd for Laurent denominators fd = q^a, gd = q^b.
+
+    Soundness: with a >= b the sum is (f + q^(a-b)*g)/q^a, a monic
+    denominator whose only possible common factor with the numerator h is
+    q^m, m = min(v(h), a); shifting both down by m leaves them coprime.
+    Sums of ints stay ints, and a sum of Fractions that is integral is
+    made an int.  The sum may cancel to zero, which is ZERO."""
+    (a, _), = fd.items()
+    (b, _), = gd.items()
+    if a < b:
+        f, g, fd, a, b = g, f, gd, b, a
+    if a != b:
+        g = {e + a - b: c for e, c in g.items()}
+    h = padd(f, g)
+    if not h:
+        return ZERO
+    m = min(min(h), a) if a else 0
+    if m:
+        h = {e - m: c for e, c in h.items()}
+        fd = {a - m: 1}
+    return QRat(_intify(h), fd, _raw=True)
 
 
 def qrat_text(x):
