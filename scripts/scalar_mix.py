@@ -18,11 +18,11 @@ An operand is ``ONE`` (the value 1), ``+-q^k`` (k != 0), ``q^b den`` (any
 other value whose denominator is q^b, polynomials included) or
 ``general``.  The paths count each operation once, by the kernel's
 fast-path helper that answered it (found by wrapping the helpers), else as
-``zero`` or ``one`` (an operand is zero or the ONE instance) or
-``general`` (the constructor).  The script wraps QRat.__mul__ and
-QRat.__add__ in its own process and adds no hook to the engine; a tree
-without some helper never reports its path.  It also prints the size of
-the table of interned signed powers.
+``zero`` or ``one`` (an operand is zero or the ONE instance), ``gcd`` (the
+constructor called pgcd) or ``constructor`` (it did not).  The script wraps
+QRat.__mul__, QRat.__add__ and pgcd in its own process and adds no hook to
+the engine; a tree without some helper never reports its path.  It also
+prints the size of the table of interned signed powers.
 """
 import argparse
 import os
@@ -36,8 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from hopflab import scalars  # noqa: E402
 from hopflab.scalars import ONE, QRat  # noqa: E402
 
-MUL_RUNGS = ("_mono_times_mono", "_times_unit", "_laurent_times")
-ADD_RUNGS = ("_laurent_add",)
+MUL_RUNGS = ("_mono_times_mono", "_times_unit")
 KINDS = ("ONE", "+-q^k", "q^b den", "general")
 
 
@@ -57,9 +56,11 @@ def install(stats):
 
     A helper that returns a value (not None) marks the operation as its
     hit; an operation no helper answered is "zero" or "one" when an
-    operand is zero or the ONE instance, and "general" otherwise."""
+    operand is zero or the ONE instance, else "gcd" when the constructor
+    called pgcd and "constructor" when it did not."""
     saved = []
     hit = [None]
+    gcd = [False]
 
     def patch(owner, name, wrapper):
         orig = getattr(owner, name)
@@ -86,6 +87,7 @@ def install(stats):
                 pairs[tuple(sorted((kind(a), kind(b)),
                                    key=KINDS.index))] += 1
                 outer, hit[0] = hit[0], None
+                outer_gcd, gcd[0] = gcd[0], False
                 try:
                     return fn(a, b)
                 finally:
@@ -95,17 +97,26 @@ def install(stats):
                         rungs["zero"] += 1
                     elif op == "mul" and (a is ONE or b is ONE):
                         rungs["one"] += 1
+                    elif gcd[0]:
+                        rungs["gcd"] += 1
                     else:
-                        rungs["general"] += 1
-                    hit[0] = outer
+                        rungs["constructor"] += 1
+                    hit[0], gcd[0] = outer, outer_gcd
             return call
         return wrapper
 
     patch(QRat, "__mul__", operator("mul"))
     patch(QRat, "__add__", operator("add"))
-    for name in MUL_RUNGS + ADD_RUNGS:
+    for name in MUL_RUNGS:
         if hasattr(scalars, name):
             patch(scalars, name, helper(name))
+
+    def gcd_marker(fn):
+        def call(*args):
+            gcd[0] = True
+            return fn(*args)
+        return call
+    patch(scalars, "pgcd", gcd_marker)
 
     def undo():
         for owner, name, orig in reversed(saved):

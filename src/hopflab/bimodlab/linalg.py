@@ -222,7 +222,7 @@ def frac_add_into(acc, vec, scale, skip=None):
             continue
         t = acc.get(k)
         if t is None and canonical:
-            acc[k] = c if scale is ONE else scale * c
+            acc[k] = scale * c
             continue
         tn, td = pmul(sn, c.num), pmul(sd, c.den)
         if t is None:

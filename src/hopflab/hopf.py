@@ -330,8 +330,8 @@ def _act_word(g, w, conj):
     for leg, p in _conjugates(g, own):
         r = _contract(other, leg, 2)
         hp, cp = (p, r) if h_first else (r, p)
-        nc_add_into(out, {x + y: b if a is ONE else a * b
-                          for x, a in hp.items() for y, b in cp.items()})
+        nc_add_into(out, {x + y: a * b for x, a in hp.items()
+                          for y, b in cp.items()})
     return out
 
 

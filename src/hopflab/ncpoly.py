@@ -98,14 +98,12 @@ def nc_mono(word, c=ONE):
 
 
 def nc_add_into(acc, p, scale=ONE):
-    """acc += scale * p, in place; p is not modified.  Zero and ONE are
-    tested by attribute and identity; a scale equal to 1 that is not the
-    ONE instance is multiplied in, with the same result."""
+    """acc += scale * p, in place; p is not modified.  A scale ONE costs
+    one identity check per term, in QRat.__mul__."""
     if not scale.num:
         return acc
     for w, c in p.items():
-        if scale is not ONE:
-            c = scale * c
+        c = scale * c
         s = acc.get(w)
         if s is not None:
             c = s + c

@@ -13,9 +13,9 @@ and no zero-polynomial entries (the zero polynomial is the empty dict).
 A coefficient is a plain int whenever it is integral and a Fraction only when
 it is not; every QRat keeps that rule, so almost all arithmetic runs on ints.
 
-Products and sums go down a ladder of exact fast paths, ordered by what the
-action engine computes (its structure constants are all +-q^k), and only
-what none of them takes reaches the general constructor and its gcd:
+Products take a ladder of exact fast paths before the constructor, ordered
+by what the action engine computes (its structure constants are all
++-q^k):
 
     ONE                  x * ONE is x, ONE * x is x
     monomial * monomial  c*q^i * d*q^j = (c*d)*q^(i+j), by coefficient and
@@ -23,28 +23,30 @@ what none of them takes reaches the general constructor and its gcd:
     monomial * anything  a shift and a scaling of the other operand
                          (_times_unit); a factor +-q^k returns the operand
                          itself or shifts or negates it
-    Laurent * Laurent    pmul of the numerators over q^(a+b), then one
-                         q-valuation shift (_laurent_times)
-    Laurent + Laurent    the numerators over the larger q^b, then one
-                         q-valuation shift (_laurent_add)
 
 A monomial is c*q^k, c != 0 (one-term numerator and denominator): a unit
-of the Laurent ring Q[q, q^-1].  A Laurent value is one whose denominator
-is q^b.  Each rung states next to its code why its result is already
-canonical; the three invariants it rests on are a monic q^b denominator,
-coprimality decided by the q-adic valuation alone, and ints for integral
-coefficients.  The signed powers +-q^k with |k| <= INTERN_BOUND are
-interned (_monomial): q_power, negation and monomial products hand out one
-shared instance per value, and ONE is the interned q^0.  Instances are
-never mutated, so sharing them and their num/den dicts is safe.
+of the Laurent ring Q[q, q^-1].  Each rung states next to its code why its
+result is already canonical; the three invariants it rests on are a monic
+q^b denominator, coprimality decided by the q-adic valuation alone, and
+ints for integral coefficients.  The signed powers +-q^k with
+|k| <= INTERN_BOUND are interned (_monomial): q_power, negation and
+monomial products hand out one shared instance per value, and ONE is the
+interned q^0.  Instances are never mutated, so sharing them and their
+num/den dicts is safe.
 
-The gcd behind the general constructor clears denominators and content,
-then runs the heuristic GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput.
-1989) on the primitive integer images.  A heuristic candidate is accepted
-only after it divides both inputs exactly over Z, which certifies it as the
-gcd (see _heugcd), and those certificate divisions also give the cofactors
-the constructor divides out; after a fixed number of evaluation points the
-Euclidean algorithm over Q takes over, so the result is always exact.
+A sum goes to the constructor over a common denominator: the shared one,
+or q^max(a, b) for q^a and q^b, else the product.  The constructor reduces
+a ratio with a one-term denominator d*q^b (a Laurent value, the kind most
+products and sums of the engine give) by one q-valuation shift and a
+division by d: q is prime, so no gcd is needed.
+Only a denominator of two or more terms reaches the gcd, which clears
+denominators and content, then runs the heuristic GCDHEU (Char, Geddes &
+Gonnet, J. Symbolic Comput. 1989) on the primitive integer images.  A
+heuristic candidate is accepted only after it divides both inputs exactly
+over Z, which certifies it as the gcd (see _heugcd), and those certificate
+divisions also give the cofactors the constructor divides out; after a
+fixed number of evaluation points the Euclidean algorithm over Q takes
+over, so the result is always exact.
 """
 from __future__ import annotations
 
@@ -189,15 +191,16 @@ def pdivmod(f, g):
     return quo, rem
 
 
-def pgcd(f, g, cofactors=False):
-    """Monic gcd over Q: certified GCDHEU, Euclid over Q as the fallback.
+def pgcd(f, g):
+    """(gcd, f / gcd, g / gcd) with the monic gcd over Q (the zero
+    polynomial, and f, g themselves, when both are zero): certified GCDHEU,
+    Euclid over Q as the fallback.
 
-    With cofactors, the triple (gcd, f / gcd, g / gcd) for nonzero gcd.  The
-    heuristic's certificate divisions a = h*qa, b = h*qb of the primitive
-    images a = r*f, b = s*g give the quotients without dividing again:
-    f / gcd is the rational multiple of qa with f's leading coefficient
-    (both sides have degree deg f - deg gcd and differ by a constant).  The
-    Euclidean fallback divides with pdivmod.
+    The heuristic's certificate divisions a = h*qa, b = h*qb of the
+    primitive images a = r*f, b = s*g give the quotients without dividing
+    again: f / gcd is the rational multiple of qa with f's leading
+    coefficient (both sides have degree deg f - deg gcd and differ by a
+    constant).  The Euclidean fallback divides with pdivmod.
     """
     res = _heugcd(_primitive(f), _primitive(g)) if f and g else None
     if res is None:
@@ -205,23 +208,19 @@ def pgcd(f, g, cofactors=False):
         while b:
             a, b = b, pdivmod(a, b)[1]
         if not a:
-            return ({}, f, g) if cofactors else {}
+            return {}, f, g
         lc = plc(a)
         if lc != 1:
             a = {k: _qdiv(c, lc) for k, c in a.items()}
         else:
             a = _intify(a)
-        if cofactors:
-            return a, pdivmod(f, a)[0], pdivmod(g, a)[0]
-        return a
+        return a, pdivmod(f, a)[0], pdivmod(g, a)[0]
     h, qa, qb = res
     if max(h) == 0:
-        return ({0: 1}, f, g) if cofactors else {0: 1}
+        return {0: 1}, f, g
     lc = plc(h)
     a = h if lc == 1 else {k: _qdiv(c, lc) for k, c in h.items()}
-    if cofactors:
-        return a, _rescaled(qa, plc(f)), _rescaled(qb, plc(g))
-    return a
+    return a, _rescaled(qa, plc(f)), _rescaled(qb, plc(g))
 
 
 def _rescaled(f, lead):
@@ -373,9 +372,10 @@ class QRat:
     immutable by convention (nothing mutates .num/.den after construction),
     so values and their dicts are shared freely: x * ONE is x, and each
     signed power +-q^k with |k| <= INTERN_BOUND is one interned instance.
-    Products and sums take the exact fast paths of the module docstring
-    before the general constructor, whose gcd cofactors come from the
-    gcd's own certificate divisions.
+    Products take the exact fast paths of the module docstring before the
+    constructor; the constructor needs no gcd for a one-term denominator,
+    and otherwise divides out the cofactors the gcd's own certificate
+    divisions give.
     """
 
     __slots__ = ("num", "den")
@@ -393,14 +393,30 @@ class QRat:
             self.num = {}
             self.den = {0: 1}
             return
+        if len(den) == 1:
+            # den = d*q^b, and q is prime in Q[q]: the only common factor
+            # of num and den is q^m, m = min(v(num), b), so dividing both by
+            # d*q^m leaves them coprime with den monic, and no gcd is needed
+            (b, d), = den.items()
+            m = min(min(num), b)
+            if d != 1:
+                num = {k - m: _qdiv(c, d) for k, c in num.items()}
+            else:
+                num = _intify({k - m: c for k, c in num.items()} if m
+                              else num)
+            if m or d != 1 or type(d) is not int:
+                den = {b - m: 1}
+            self.num = num
+            self.den = den
+            return
         # cancel common q-power cheaply, then full gcd
         v = min(pvaluation(num), pvaluation(den))
         if v:
             num = pshift(num, -v)
             den = pshift(den, -v)
-        # after the q-power cancellation a monomial side forces gcd 1
-        if len(den) > 1 and len(num) > 1:
-            g, qn, qd = pgcd(num, den, cofactors=True)
+        # after the q-power cancellation a monomial numerator forces gcd 1
+        if len(num) > 1:
+            g, qn, qd = pgcd(num, den)
             if pdeg(g) > 0:
                 num, den = qn, qd
         # monic denominator, and integral coefficients as ints
@@ -454,10 +470,17 @@ class QRat:
         if not onum:
             return self
         den, oden = self.den, other.den
-        if len(den) == 1 and len(oden) == 1:
-            return _laurent_add(num, den, onum, oden)
         if den == oden:
             return QRat(padd(num, onum), den)
+        if len(den) == 1 and len(oden) == 1:
+            # over q^a and q^b the common denominator is q^max(a, b): the
+            # numerator over the lower power is shifted up to it
+            (a, _), = den.items()
+            (b, _), = oden.items()
+            if a < b:
+                num, onum, den, a, b = onum, num, oden, b, a
+            return QRat(padd(num, {e + a - b: c for e, c in onum.items()}),
+                        den)
         return QRat(padd(pmul(num, oden), pmul(onum, den)), pmul(den, oden))
 
     def __neg__(self):
@@ -484,18 +507,14 @@ class QRat:
         num, onum = self.num, other.num
         if not num or not onum:
             return ZERO
-        if len(self.den) == 1:
-            if len(num) == 1:
-                if len(onum) == 1 and len(other.den) == 1:
-                    return _mono_times_mono(self, other)
-                return _times_unit(other, self)
-            if len(other.den) == 1:
-                if len(onum) == 1:
-                    return _times_unit(self, other)
-                return _laurent_times(self, other)
-        elif len(onum) == 1 and len(other.den) == 1:
+        den, oden = self.den, other.den
+        if len(num) == 1 and len(den) == 1:
+            if len(onum) == 1 and len(oden) == 1:
+                return _mono_times_mono(self, other)
+            return _times_unit(other, self)
+        if len(onum) == 1 and len(oden) == 1:
             return _times_unit(self, other)
-        return QRat(pmul(num, onum), pmul(self.den, other.den))
+        return QRat(pmul(num, onum), pmul(den, oden))
 
     def inverse(self):
         """den/num in canonical form, with no gcd.
@@ -620,49 +639,6 @@ def _times_unit(x, u):
     if b:
         den = {e + b: d for e, d in den.items()}
     return QRat(num, den, _raw=True)
-
-
-def _laurent_times(x, y):
-    """x * y for Laurent values x = f/q^a, y = g/q^b.
-
-    Soundness: f*g over q^(a+b) has a monic denominator, and q is prime in
-    Q[q], so the only common factor of f*g and q^(a+b) is q^m,
-    m = min(v(f*g), a + b); shifting both down by m leaves them coprime.
-    pmul of int coefficients gives ints; a sum of Fraction products may be
-    integral, so the numerator is made to follow the int rule."""
-    num = pmul(x.num, y.num)
-    (a, _), = x.den.items()
-    (b, _), = y.den.items()
-    b += a
-    m = min(min(num), b) if b else 0
-    if m:
-        num = {e - m: c for e, c in num.items()}
-        b -= m
-    return QRat(_intify(num), {b: 1}, _raw=True)
-
-
-def _laurent_add(f, fd, g, gd):
-    """f/fd + g/gd for Laurent denominators fd = q^a, gd = q^b.
-
-    Soundness: with a >= b the sum is (f + q^(a-b)*g)/q^a, a monic
-    denominator whose only possible common factor with the numerator h is
-    q^m, m = min(v(h), a); shifting both down by m leaves them coprime.
-    Sums of ints stay ints, and a sum of Fractions that is integral is
-    made an int.  The sum may cancel to zero, which is ZERO."""
-    (a, _), = fd.items()
-    (b, _), = gd.items()
-    if a < b:
-        f, g, fd, a, b = g, f, gd, b, a
-    if a != b:
-        g = {e + a - b: c for e, c in g.items()}
-    h = padd(f, g)
-    if not h:
-        return ZERO
-    m = min(min(h), a) if a else 0
-    if m:
-        h = {e - m: c for e, c in h.items()}
-        fd = {a - m: 1}
-    return QRat(_intify(h), fd, _raw=True)
 
 
 def qrat_text(x):

@@ -1,6 +1,7 @@
-"""The exact fast paths of QRat products and sums: each one against the
-general constructor, structurally and by coefficient type, the sharing of
-interned signed powers, and the gcd cofactors the constructor divides out.
+"""The exact fast paths of QRat products, each against the general
+constructor, structurally and by coefficient type; the constructor's
+one-term-denominator reduction against its gcd route; the sharing of
+interned signed powers; and the gcd cofactors the constructor divides out.
 """
 from fractions import Fraction
 
@@ -195,17 +196,16 @@ def test_monomial_factors_and_laurent_sums_skip_pmul_and_pgcd(monkeypatch):
         assert_same(x - y, want_diff)
 
 
-def test_laurent_products_skip_pgcd(monkeypatch):
-    xs = [qint(2), qint(3), qint(4), QRat({3: 2, 1: Fraction(1, 3)}, {4: 1}),
-          QRat({2: 1, 0: -1}), QRat({2: Fraction(1, 2), 1: 1})]
-    want = {(i, j): general_product(x, y) for i, x in enumerate(xs)
-            for j, y in enumerate(xs)}
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("pgcd on a Laurent product")
-    monkeypatch.setattr(scalars, "pgcd", forbidden)
-    for (i, j), w in want.items():
-        assert_same(xs[i] * xs[j], w)
+@settings(max_examples=300, deadline=None)
+@given(polys(), st.integers(0, 5), coeff,
+       st.dictionaries(st.integers(0, 2), small, min_size=2, max_size=3))
+def test_one_term_denominators_match_the_gcd_route(f, b, d, h):
+    """f / (d*q^b) reduced by its q-valuation alone equals the same ratio
+    with a factor h of two or more terms on both sides, which the
+    constructor reduces with the gcd."""
+    got = QRat(f, {b: d})
+    assert_same(got, QRat(pmul(f, h), pmul({b: d}, h)))
+    assert len(got.den) == 1
 
 
 def _interned_snapshot():
@@ -235,8 +235,7 @@ def test_no_caller_mutates_a_shared_value():
                                          min_size=2, max_size=3))
 def test_pgcd_cofactors_are_the_exact_quotients(a, b, c):
     f, g = pmul(a, c), pmul(b, c)
-    gcd, qf, qg = pgcd(f, g, cofactors=True)
-    assert gcd == pgcd(f, g)
+    gcd, qf, qg = pgcd(f, g)
     assert qf == pdivmod(f, gcd)[0] and qg == pdivmod(g, gcd)[0]
     assert_canonical_coeffs(qf)
     assert_canonical_coeffs(qg)
@@ -262,9 +261,9 @@ def test_forced_fallback_cofactors_match(monkeypatch):
     planted = {1: 1, 0: -2}
     f, g = pmul({2: 3, 0: 1}, planted), pmul({1: Fraction(1, 5), 0: 1},
                                              planted)
-    heuristic = pgcd(f, g, cofactors=True)
+    heuristic = pgcd(f, g)
     monkeypatch.setattr(scalars, "_heugcd", lambda a, b: None)
-    assert pgcd(f, g, cofactors=True) == heuristic
+    assert pgcd(f, g) == heuristic
 
 
 @pytest.mark.parametrize("k", [-3, 0, 2])
