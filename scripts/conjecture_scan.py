@@ -8,7 +8,9 @@ actions and compares the resulting dimension with ((lam+1)(mu+1))^2.  The
 outcome is reported as conjecture-consistent or NOT consistent — it is
 measured, never assumed.  For (1, 1) the scan additionally tests whether
 the closure of K^-1 coincides, as a subspace, with the shipped reference
-closure of E K^-1: same dimension and mutual containment of bases.
+closure of E K^-1: same dimension and mutual containment of bases.  Each
+label's line ends with the process's peak RSS so far, so one scan shows
+how memory grows with the closure dimension.
 
 Usage: python3 scripts/conjecture_scan.py [--max-total 4] [--cap 2048]
 """
@@ -26,6 +28,11 @@ def predicted(lam, mu):
     return ((lam + 1) * (mu + 1)) ** 2
 
 
+def peak_rss_mb():
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def scan(max_total, cap):
     cfg = core.LabConfig(closure_cap=cap)
     all_ok = True
@@ -40,17 +47,18 @@ def scan(max_total, cap):
                 mod = core.closure([seed], side="bi", config=cfg,
                                    name="conj(%d,%d)" % (lam, mu))
             except core.LocalFinitenessExceeded:
-                print("(%d,%d): closure exceeded cap %d — unresolved"
-                      % (lam, mu, cap))
+                print("(%d,%d): closure exceeded cap %d — unresolved  "
+                      "[peak RSS %.1f MB]" % (lam, mu, cap, peak_rss_mb()))
                 all_ok = False
                 continue
             want = predicted(lam, mu)
             ok = mod.dim == want
             all_ok = all_ok and ok
-            print("(%d,%d): closure dim %d, predicted %d -> %s  [%.2fs]"
+            print("(%d,%d): closure dim %d, predicted %d -> %s  "
+                  "[%.2fs, peak RSS %.1f MB]"
                   % (lam, mu, mod.dim, want,
                      "conjecture-consistent" if ok else "NOT consistent",
-                     time.perf_counter() - t0))
+                     time.perf_counter() - t0, peak_rss_mb()))
             if (lam, mu) == (1, 1):
                 ref = core.standard_module("H11")
                 same = (mod.dim == ref.dim
@@ -71,12 +79,10 @@ def main():
     args = ap.parse_args()
     t0 = time.perf_counter()
     ok = scan(args.max_total, args.cap)
-    # ru_maxrss is in KiB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print("scan result: %s  [%.2fs, peak RSS %.1f MB]"
           % ("all labels conjecture-consistent" if ok
              else "inconsistencies or unresolved labels above",
-             time.perf_counter() - t0, peak_mb))
+             time.perf_counter() - t0, peak_rss_mb()))
     return 0 if ok else 1
 
 

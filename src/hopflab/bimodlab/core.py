@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from ..scalars import ONE, ZERO, PoleAtPoint, QRat
+from ..scalars import ONE, PoleAtPoint, QRat
 from ..ncpoly import (
     A, B, C, D, DOUBLE, E, F, HXC, K, KI, nc_add_into, word_key,
 )
@@ -24,15 +24,11 @@ from .linalg import (
     Echelon,
     EchelonModP,
     apply,
-    columns,
     frac_add_into,
     frac_canonical,
     frac_qrat,
-    identity,
     kernel,
-    mat_add,
-    mat_mul,
-    rank_dense,
+    rank,
     rref,
     specialize,
 )
@@ -131,11 +127,13 @@ def is_hw_bivector(v):
 class FDBimodule:
     """A finite-dimensional action closure with its generator matrices.
 
+    A matrix is a list of dim sparse columns {i: QRat} (see linalg).
     Matrix convention, both sides: column j of the matrix of g holds the
     coordinates of the action of g on basis[j], so words act by
     left[g1 g2] = left[g1] left[g2] and right[g1 g2] = right[g2] right[g1].
     side records which actions the basis is stable under; the matrix
-    dictionary for an unavailable side is None.
+    dictionary for an unavailable side is None.  Coordinates (coords,
+    to_poly) are sparse vectors {i: QRat} over the basis.
     """
     name: str
     side: str
@@ -154,8 +152,8 @@ class FDBimodule:
 
     def to_poly(self, coords):
         out = {}
-        for c, b in zip(coords, self.basis):
-            nc_add_into(out, b, c)
+        for i, c in coords.items():
+            nc_add_into(out, self.basis[i], c)
         return out
 
 
@@ -213,7 +211,8 @@ def closure(seeds, side="bi", config=None, name="closure"):
     - By linearity, column t of g's matrix is (g.q_t at the final pivots)
       minus sum_k q_t[p_k] (column k).  Filling the columns in reverse
       insertion order makes every column k a correction needs already
-      written.  The images of a row are dropped once its columns are.
+      written, and the correction adds only column k's nonzeros.  The
+      images of a row are dropped once its columns are.
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be left, right, or bi")
@@ -259,31 +258,32 @@ def closure(seeds, side="bi", config=None, name="closure"):
     index = {max(b, key=word_key): i for i, b in enumerate(basis)}
     left = {} if use_left else None
     right = {} if use_right else None
-    for g in GENERATORS:
-        for side_mats in (left, right):
-            if side_mats is not None:
-                side_mats[g] = [[ZERO] * n for _ in range(n)]
-    mats = [(left if is_left else right)[g] for g, is_left in acts]
     for side_mats, pos, sign in ((left, 0, 1), (right, 1, -1)):
         if side_mats is not None:
-            for j, wt in enumerate(weights):
-                side_mats[K][j][j] = QRat.q_power(sign * wt[pos])
-                side_mats[KI][j][j] = QRat.q_power(-sign * wt[pos])
+            # the other columns are written below, in reverse queue order
+            for g in GENERATORS:
+                side_mats[g] = [None] * n
+            side_mats[K] = [{j: QRat.q_power(sign * wt[pos])}
+                            for j, wt in enumerate(weights)]
+            side_mats[KI] = [{j: QRat.q_power(-sign * wt[pos])}
+                             for j, wt in enumerate(weights)]
+    mats = [(left if is_left else right)[g] for g, is_left in acts]
     for t in reversed(range(len(queue))):
         q = queue[t]
         j = index[max(q, key=word_key)]
         later = [(index[k], c) for k, c in q.items()
                  if k in index and index[k] != j]
         for mat, img in zip(mats, images[t]):
+            col = {}
             for k, c in img.items():
                 i = index.get(k)
                 if i is not None:
-                    mat[i][j] = frac_qrat(c)
+                    c = frac_qrat(c)
+                    if c:
+                        col[i] = c
             for jk, c in later:
-                for row in mat:
-                    x = row[jk]
-                    if not x.is_zero():
-                        row[j] = row[j] - c * x
+                nc_add_into(col, mat[jk], -c)
+            mat[j] = col
         images[t] = None
     return FDBimodule(name, side, basis, weights, left, right, ech)
 
@@ -316,7 +316,10 @@ def _hw_left_coords(mod):
 
 
 def _hw_bivector_coords(mod):
-    stacked = [list(r) for r in mod.left[E]] + [list(r) for r in mod.right[E]]
+    # left E over right E: the right side's rows are offset by n
+    n = mod.dim
+    stacked = [{**lc, **{i + n: c for i, c in rc.items()}}
+               for lc, rc in zip(mod.left[E], mod.right[E])]
     return kernel(stacked)
 
 
@@ -348,13 +351,16 @@ def casimir_eigenvalue(w):
 def casimir_matrix(mats, side):
     """Matrix of the Casimir EF + (q^-1 K + q K^-1)/(q-q^-1)^2 acting
     through the given generator matrices."""
-    if side == "left":
-        ef = mat_mul(mats[E], mats[F])
-    else:
-        ef = mat_mul(mats[F], mats[E])
-    return mat_add(ef, mat_add(mats[K], mats[KI],
-                               QRat.q_power(-1) * _lam2,
-                               QRat.q_power(1) * _lam2))
+    # right[E F] = right[F] right[E] (FDBimodule's matrix convention)
+    outer, inner = (mats[E], mats[F]) if side == "left" else (mats[F], mats[E])
+    ck, cki = QRat.q_power(-1) * _lam2, QRat.q_power(1) * _lam2
+    out = []
+    for j, col in enumerate(inner):
+        col = apply(outer, col)
+        nc_add_into(col, mats[K][j], ck)
+        nc_add_into(col, mats[KI][j], cki)
+        out.append(col)
+    return out
 
 
 def spectrum_by_weight(mats, weights, side="left"):
@@ -367,12 +373,8 @@ def spectrum_by_weight(mats, weights, side="left"):
     """
     n = len(weights)
     cm = casimir_matrix(mats, side)
-    ks = kernel(mats[E])
     pos = 0 if side == "left" else 1
-    exps = set()
-    for v in ks:
-        ws = {weights[i][pos] for i, c in enumerate(v) if not c.is_zero()}
-        exps.update(ws)
+    exps = {weights[i][pos] for v in kernel(mats[E]) for i in v}
     out = []
     seen = []
     total = 0
@@ -381,8 +383,9 @@ def spectrum_by_weight(mats, weights, side="left"):
         if ev in seen:
             continue
         seen.append(ev)
-        shifted = mat_add(cm, identity(n), ONE, -ev)
-        mult = n - rank_dense(shifted)
+        shifted = [nc_add_into(dict(col), {j: ONE}, -ev)
+                   for j, col in enumerate(cm)]
+        mult = n - rank(shifted)
         if mult:
             out.append((w, ev, mult))
             total += mult
@@ -438,13 +441,13 @@ def _word_span(mats, n, word_cap, ech, one, clean):
     the span are extended, which still reaches the span of all words of
     length <= d after d layers.
 
-    A word matrix X is the sparse flattening {i * n + j: X[i][j]}.  The
-    caller picks the field: ech is an Echelon or an EchelonModP, one the
-    unit entry of the identity, and clean drops the zero entries of a
-    product (reducing mod p first over GF(p)).  capped reports that the
-    search stopped at the length cap with the frontier still growing.
+    The matrices are sparse columns; a word matrix X is the sparse
+    flattening {i * n + j: X[i][j]}.  The caller picks the field: ech is
+    an Echelon or an EchelonModP, one the unit entry of the identity, and
+    clean drops the zero entries of a product (reducing mod p first over
+    GF(p)).  capped reports that the search stopped at the length cap with
+    the frontier still growing.
     """
-    gens = [columns(m) for m in mats]
     full = n * n
     ident = {i * n + i: one for i in range(n)}
     ech.insert(ident)
@@ -453,7 +456,7 @@ def _word_span(mats, n, word_cap, ech, one, clean):
     while layer and depth < word_cap and ech.dim < full:
         nxt = []
         for X in layer:
-            for cols in gens:
+            for cols in mats:
                 Y = {}
                 for key, v in X.items():
                     j, t = divmod(key, n)
@@ -529,7 +532,7 @@ def operator_span(mod, config=None):
 
 def _orbit(gens, seed, cap=None):
     """Span generated from the sparse vector seed {i: QRat} by matrices
-    given as sparse columns (linalg.columns): (basis, images).
+    of sparse columns: (basis, images).
 
     The basis is the seed, then every image that grows the span, appended
     in a fixed breadth-first order as raw action images, never
@@ -555,10 +558,6 @@ def _orbit(gens, seed, cap=None):
     return basis, images
 
 
-def _sparse(vec):
-    return {i: c for i, c in enumerate(vec) if c}
-
-
 def is_simple(mod, config=None):
     """True when the spanned operator algebra is all of End(V); False when
     some probe vector generates a proper nonzero stable subspace; None when
@@ -580,16 +579,15 @@ def _simplicity(mod, config=None):
     mats = _action_matrices(mod)
     if _full_at_point(mats, n, cfg.word_cap):
         return True, CERT_POINT
-    gens = [columns(m) for m in mats]
     if mod.left is not None and mod.right is not None:
         hw = _hw_bivector_coords(mod)
     elif mod.left is not None:
         hw = _hw_left_coords(mod)
     else:
         hw = kernel(mod.right[E])
-    probes = [{i: ONE} for i in range(n)] + [_sparse(v) for v in hw]
+    probes = [{i: ONE} for i in range(n)] + hw
     for p in probes:
-        d = len(_orbit(gens, p, cap=n)[0])
+        d = len(_orbit(mats, p, cap=n)[0])
         if 0 < d < n:
             return False, None
     if _exact_span(mats, n, cfg.word_cap)[0] == n * n:
@@ -601,12 +599,13 @@ def _simplicity(mod, config=None):
 
 @dataclass(eq=False)
 class LeftSummand:
-    """One simple left summand: seed and basis in parent coordinates, plus
-    the generator matrices in the generated basis.  Isomorphic summands
-    produced by decompose_left carry literally equal matrices, because the
-    basis is generated from a highest-weight seed by a fixed application
-    order and the matrices do not depend on the seed normalization."""
-    seed: list
+    """One simple left summand: seed and basis as sparse vectors in parent
+    coordinates, plus the generator matrices (lists of sparse columns) in
+    the generated basis.  Isomorphic summands produced by decompose_left
+    carry literally equal matrices, because the basis is generated from a
+    highest-weight seed by a fixed application order and the matrices do
+    not depend on the seed normalization."""
+    seed: dict
     basis: list
     weights: list
     matrices: dict
@@ -621,20 +620,25 @@ class LeftSummand:
         return self.weights[0][0]
 
 
-def _summand_matrices(n, basis, images):
+def _summand_matrices(basis, images):
     """Generator matrices on a basis generated by _orbit, from the images
     it recorded, by one exact solve: row-reduce [G | images] where the
     columns of G are the basis."""
     m = len(basis)
     rhs = [imgs[gi] for gi in range(len(GENERATORS)) for imgs in images]
-    aug = [[v.get(i, ZERO) for v in basis + rhs] for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots[:m] != list(range(m)) or len(pivots) != m:
+    aug = {}
+    for j, vec in enumerate(basis + rhs):
+        for i, c in vec.items():
+            aug.setdefault(i, {})[j] = c
+    rows, pivots = rref(aug.values())
+    if pivots != list(range(m)):
         raise DecompositionIncomplete("generated basis failed to solve")
-    mats = {}
-    for gi, g in enumerate(GENERATORS):
-        mat = [[rows[i][m + gi * m + t] for t in range(m)] for i in range(m)]
-        mats[g] = mat
+    mats = {g: [{} for _ in range(m)] for g in GENERATORS}
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            if j >= m:
+                gi, t = divmod(j - m, m)
+                mats[GENERATORS[gi]][t][i] = c
     return mats
 
 
@@ -649,25 +653,24 @@ def decompose_left(mod, config=None):
     n = mod.dim
     seeds = []
     for v in _hw_left_coords(mod):
-        ws = {mod.weights[i][0] for i, c in enumerate(v) if not c.is_zero()}
+        ws = {mod.weights[i][0] for i in v}
         if len(ws) != 1:
             raise DecompositionIncomplete("inhomogeneous highest-weight seed")
         seeds.append((ws.pop(), v))
     seeds.sort(key=lambda t: -t[0])
-    gens = [columns(mod.left[g]) for g in GENERATORS]
+    gens = [mod.left[g] for g in GENERATORS]
     acc = Echelon()
     out = []
     for _, seed in seeds:
-        sd = _sparse(seed)
-        if acc.contains(sd):
+        if acc.contains(seed):
             continue
-        basis, images = _orbit(gens, sd)
+        basis, images = _orbit(gens, seed)
         for vec in basis:
             if not acc.insert(vec):
                 raise DecompositionIncomplete(
                     "summands overlap; left action is not a direct sum "
                     "of the generated pieces")
-        mats = _summand_matrices(n, basis, images)
+        mats = _summand_matrices(basis, images)
         m = len(basis)
         span, capped = matrix_span(list(mats.values()), m, cfg.word_cap)
         if span != m * m:
@@ -682,8 +685,7 @@ def decompose_left(mod, config=None):
             if len(w1) != 1:
                 raise DecompositionIncomplete("inhomogeneous summand vector")
             wts.append((w1.pop(), min(b for _, b in ws)))
-        dense = [[vec.get(i, ZERO) for i in range(n)] for vec in basis]
-        out.append(LeftSummand(list(seed), dense, wts, mats))
+        out.append(LeftSummand(seed, basis, wts, mats))
     if acc.dim != n:
         raise DecompositionIncomplete(
             "highest-weight seeds span %d of %d" % (acc.dim, n))

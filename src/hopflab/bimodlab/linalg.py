@@ -5,11 +5,14 @@ sparse dict-vectors, used for closures, monomial independence, orbits and
 operator-algebra spans (Echelon.contains also takes entries left as
 unreduced fractions (num, den) and decides membership with no gcd), with
 EchelonModP its rank-only twin over GF(p) for the one-point span
-certificate.  Sparse columns of a matrix and the mat-vec product on them
-(columns, apply).  Dense products of action matrices, and rref, kernel and
-rank_dense, which read the rows of an Echelon.  Everything is
-deterministic: pivots are chosen by a caller-supplied key order, never by
-coefficient size.
+certificate.
+
+A matrix is a list of sparse columns {row: QRat}, zero entries left out;
+column j of an action matrix holds the coordinates of the action on basis
+vector j.  A vector is sparse {index: QRat} likewise.  apply multiplies a
+matrix by a vector, and rref, kernel and rank read the rows of an Echelon.
+Everything is deterministic: pivots are chosen by a caller-supplied key
+order, never by coefficient size.
 """
 from __future__ import annotations
 
@@ -115,12 +118,13 @@ class Echelon:
         return [dict(self.rows[k]) for k in self._pivots()]
 
     def coords(self, vec):
-        """Coordinates of vec in basis() order, or None if outside the span.
-        The rows are fully reduced with pivot coefficient 1, so inside the
-        span the coordinates are vec's own entries at the pivots."""
+        """Coordinates of vec in basis() order, as a sparse vector
+        {index: QRat}, or None if outside the span.  The rows are fully
+        reduced with pivot coefficient 1, so inside the span the
+        coordinates are vec's own entries at the pivots."""
         if self.reduce(vec):
             return None
-        return [vec.get(k, ZERO) for k in self._pivots()]
+        return {i: vec[k] for i, k in enumerate(self._pivots()) if k in vec}
 
 
 class EchelonModP:
@@ -236,17 +240,6 @@ def frac_add_into(acc, vec, scale, skip=None):
     return acc
 
 
-def columns(mat):
-    """Sparse columns of a dense matrix: column j becomes {i: entry}, zero
-    entries left out.  Entries may be QRat or ints mod p."""
-    cols = [{} for _ in (mat[0] if mat else ())]
-    for i, row in enumerate(mat):
-        for j, c in enumerate(row):
-            if c:
-                cols[j][i] = c
-    return cols
-
-
 def apply(cols, vec):
     """The matrix with sparse columns cols times the sparse vector
     vec {j: QRat}, as a sparse vector."""
@@ -256,85 +249,53 @@ def apply(cols, vec):
     return out
 
 
-def specialize(matrix, p, q0):
+def specialize(cols, p, q0):
     """The matrix with q -> q0 in GF(p): every entry mapped by qrat_mod,
-    which raises PoleAtPoint for an entry without a value there."""
-    return [[qrat_mod(x, p, q0) for x in row] for row in matrix]
-
-
-# -- dense helpers; matrices are row-major lists of lists of QRat --
-
-def zeros(n, m):
-    return [[ZERO] * m for _ in range(n)]
-
-
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = ONE
+    which raises PoleAtPoint for an entry without a value there; entries
+    that vanish mod p are dropped."""
+    out = []
+    for col in cols:
+        col = {i: qrat_mod(x, p, q0) for i, x in col.items()}
+        out.append({i: x for i, x in col.items() if x})
     return out
 
 
-def mat_mul(Am, Bm):
-    n, k, m = len(Am), len(Bm), len(Bm[0]) if Bm else 0
-    out = zeros(n, m)
-    for i in range(n):
-        Ai = Am[i]
-        row = out[i]
-        for j in range(k):
-            c = Ai[j]
-            if c.is_zero():
-                continue
-            Bj = Bm[j]
-            for t in range(m):
-                v = Bj[t]
-                if not v.is_zero():
-                    row[t] = row[t] + c * v
-    return out
-
-
-def mat_add(Am, Bm, ca=ONE, cb=ONE):
-    return [[ca * x + cb * y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(Am, Bm)]
+def rank(cols):
+    """Rank of the matrix with sparse columns cols."""
+    ech = Echelon()
+    for col in cols:
+        ech.insert(col)
+    return ech.dim
 
 
 def rref(rows):
-    """Reduced row echelon form of dense rows; returns
+    """Reduced row echelon form of sparse rows {column: QRat}; returns
     (rref_rows_without_zero_rows, pivot_column_indices).
 
     An Echelon keyed on -column takes the leftmost nonzero column as pivot,
     normalises it to 1 and fully reduces; the RREF of a matrix is unique,
     so its rows, read in ascending pivot order, are the RREF."""
-    m = len(rows[0]) if rows else 0
     ech = Echelon(lambda j: -j)
     for r in rows:
-        ech.insert({j: c for j, c in enumerate(r) if c})
+        ech.insert(r)
     pivots = sorted(ech.rows)
-    return [[ech.rows[p].get(j, ZERO) for j in range(m)]
-            for p in pivots], pivots
+    return [ech.rows[p] for p in pivots], pivots
 
 
-def rank_dense(Am):
-    if not Am:
-        return 0
-    return len(rref(Am)[0])
-
-
-def kernel(Am):
-    """Basis of the right null space of a dense matrix, deterministic."""
-    if not Am:
-        return []
-    m = len(Am[0])
-    rows, pivots = rref(Am)
+def kernel(cols):
+    """Basis of the right null space of the matrix with sparse columns
+    cols, as sparse vectors, one per free column in ascending order."""
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    red, pivots = rref(rows.values())
     pivot_set = set(pivots)
-    free = [j for j in range(m) if j not in pivot_set]
     out = []
-    for f in free:
-        vec = [ZERO] * m
+    for f in range(len(cols)):
+        if f in pivot_set:
+            continue
+        vec = {p: -r[f] for r, p in zip(red, pivots) if f in r}
         vec[f] = ONE
-        for r, p in zip(rows, pivots):
-            c = r[f]
-            if not c.is_zero():
-                vec[p] = -c
         out.append(vec)
     return out

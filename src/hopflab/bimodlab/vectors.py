@@ -5,11 +5,13 @@ published 16-, 9- and 9-dimensional module bases with their generator
 matrices, and the seed recipe for general weight pairs.  Matrix conventions
 (checked in the tests against the engine):
 
-  left:   g |> v[i][j] = sum_k  L[g][k][i] * v[k][j]    (fixed column j)
-  right:  v[i][j] <| g = sum_k  R[g][k][j] * v[i][k]    (fixed row i)
+  left:   g |> v[i][j] = sum_k  L[g](k, i) * v[k][j]    (fixed column j)
+  right:  v[i][j] <| g = sum_k  R[g](k, j) * v[i][k]    (fixed row i)
 
 so the left matrices act on the first index and the right matrices on the
-second, exactly the two-sided matrix-unit picture.
+second, exactly the two-sided matrix-unit picture.  M(k, i) is the entry in
+row k and column i; a matrix is stored as its sparse columns (see linalg),
+so M(k, i) is M[i].get(k, 0).
 """
 from __future__ import annotations
 
@@ -155,7 +157,9 @@ def h_lambda_mu_seed(lam, mu):
 # -- transcribed generator matrices of the reference modules --
 
 def _m(rows):
-    return [list(r) for r in rows]
+    """The sparse columns (see linalg) of a matrix transcribed row by row."""
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]}
+            for j in range(len(rows))]
 
 
 _z = ONE - ONE

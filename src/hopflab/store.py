@@ -13,7 +13,7 @@ import hashlib
 import warnings
 
 from . import __version__
-from .scalars import ZERO, QRat, pneg
+from .scalars import QRat, pneg
 from .ncpoly import K, KI, LETTER_NAMES, word_key
 from .bimodlab.linalg import Echelon, frac_add_into, frac_is_zero
 from .bimodlab.core import (
@@ -32,16 +32,14 @@ class StaleEngineVersion(UserWarning):
     pass
 
 
-def _matrix_lines(tag, mats, dim):
+def _matrix_lines(tag, mats):
+    """Each matrix as its nonzero entries "i j value", in row-major order."""
     out = []
     for g in GENERATORS:
         out.append("matrix %s %s" % (tag, LETTER_NAMES[g]))
         m = mats[g]
-        for i in range(dim):
-            for j in range(dim):
-                c = m[i][j]
-                if not c.is_zero():
-                    out.append("%d %d %s" % (i, j, scalar_text(c)))
+        for i, j in sorted((i, j) for j, col in enumerate(m) for i in col):
+            out.append("%d %d %s" % (i, j, scalar_text(m[j][i])))
         out.append("end matrix")
     return out
 
@@ -60,9 +58,9 @@ def _render(mod):
         lines.append("%d %d %s" % (wt[0], wt[1], format_poly(b)))
     lines.append("end basis")
     if mod.left is not None:
-        lines.extend(_matrix_lines("left", mod.left, mod.dim))
+        lines.extend(_matrix_lines("left", mod.left))
     if mod.right is not None:
-        lines.extend(_matrix_lines("right", mod.right, mod.dim))
+        lines.extend(_matrix_lines("right", mod.right))
     lines.append("end archive")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -99,10 +97,14 @@ class _Reader:
 
 
 def _parse_matrices(reader, tag, dim):
+    """The matrices of one side as sparse columns.  Only what _matrix_lines
+    writes is accepted: indices in [0, dim), entries strictly ascending in
+    (i, j), and no zero value."""
     mats = {}
     for g in GENERATORS:
         reader.expect("matrix %s %s" % (tag, LETTER_NAMES[g]))
-        m = [[ZERO] * dim for _ in range(dim)]
+        m = [{} for _ in range(dim)]
+        last = (-1, -1)
         while True:
             line = reader.next()
             if line == "end matrix":
@@ -110,9 +112,17 @@ def _parse_matrices(reader, tag, dim):
             try:
                 stxt = line.split(" ", 2)
                 i, j = int(stxt[0]), int(stxt[1])
-                m[i][j] = parse_scalar(stxt[2])
+                c = parse_scalar(stxt[2])
             except (ValueError, IndexError, SyntaxError) as exc:
                 _fail("bad matrix entry at line %d: %s" % (reader.at, exc))
+            if not (0 <= i < dim and 0 <= j < dim):
+                _fail("matrix index out of range at line %d" % reader.at)
+            if (i, j) <= last:
+                _fail("matrix entries out of order at line %d" % reader.at)
+            if not c:
+                _fail("zero matrix entry at line %d" % reader.at)
+            m[j][i] = c
+            last = (i, j)
         mats[g] = m
     return mats
 
@@ -195,8 +205,8 @@ def _revalidate(mod):
     The K and K^-1 matrices are checked in closed form, as closure() fills
     them.  Once b_j is known to have weight (w1, w2), K |> b_j = q^w1 b_j,
     K^-1 |> b_j = q^-w1 b_j, b_j <| K^-1 = q^w2 b_j and b_j <| K = q^-w2 b_j;
-    the basis is independent, so the only correct column j is q^(+-w) at
-    row j and zero elsewhere."""
+    the basis is independent, so the only correct column j is {j: q^(+-w)}.
+    """
     for i, b in enumerate(mod.basis):
         if weight_of(b) != mod.weights[i]:
             _fail("basis vector %d does not have its recorded weight" % i)
@@ -209,14 +219,12 @@ def _revalidate(mod):
             for j, b in enumerate(mod.basis):
                 if g == K or g == KI:
                     e = mod.weights[j][pos] * (sign if g == K else -sign)
-                    ok = m[j][j] == QRat.q_power(e) and all(
-                        row[j].is_zero() for i, row in enumerate(m) if i != j)
+                    ok = m[j] == {j: QRat.q_power(e)}
                 else:
                     diff = action_image(g, b, tag == "left")
-                    for row, bi in zip(m, mod.basis):
-                        c = row[j]
-                        if not c.is_zero():
-                            frac_add_into(diff, bi, (pneg(c.num), c.den))
+                    for i, c in m[j].items():
+                        frac_add_into(diff, mod.basis[i],
+                                      (pneg(c.num), c.den))
                     ok = all(frac_is_zero(x) for x in diff.values())
                 if not ok:
                     _fail("%s action of %s fails revalidation on basis "

@@ -17,7 +17,7 @@ from hopflab import store
 from hopflab.cli import PRESENTATIONS, format_poly, parse_expr
 from hopflab.bimodlab import core, suites
 from hopflab.bimodlab import vectors as vx
-from hopflab.bimodlab.linalg import identity, kernel, mat_mul, rank_dense
+from hopflab.bimodlab.linalg import apply, rank
 
 ALL_PRES = (UQSL2, CQSL2, HXC, DOUBLE)
 
@@ -115,10 +115,16 @@ def _grid_polys(names):
 
 
 def _kron(Am, Bm):
-    n, m = len(Am), len(Bm)
-    out = [[Am[i][j] * Bm[k][l] for j in range(n) for l in range(m)]
-           for i in range(n) for k in range(m)]
-    return out
+    """Kronecker product of two matrices of sparse columns."""
+    m = len(Bm)
+    return [{i * m + k: a * b for i, a in acol.items()
+             for k, b in bcol.items()}
+            for acol in Am for bcol in Bm]
+
+
+def _mul(Am, Bm):
+    """Product of two matrices of sparse columns."""
+    return [apply(Am, col) for col in Bm]
 
 
 def _change_of_basis_ok(mod, names, left_fix, right_fix):
@@ -126,24 +132,21 @@ def _change_of_basis_ok(mod, names, left_fix, right_fix):
     closure basis intertwines both recorded actions exactly."""
     grid = _grid_polys(names)
     n = len(grid)
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            cols.append(mod.coords(grid[i][j]))
+    # column i * n + j of T holds the coordinates of grid[i][j]
+    T = [mod.coords(grid[i][j]) for i in range(n) for j in range(n)]
     dim = n * n
-    T = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    if rank_dense([row[:] for row in T]) != dim:
+    if rank(T) != dim:
         return ["grid does not span the closure"]
-    eye = identity(n)
+    eye = [{i: ONE} for i in range(n)]
     bad = []
     for g in core.GENERATORS:
-        L = [[QRat.from_int(x) if isinstance(x, int) else x
-              for x in row] for row in left_fix[g]]
-        R = [[QRat.from_int(x) if isinstance(x, int) else x
-              for x in row] for row in right_fix[g]]
-        if mat_mul(mod.left[g], T) != mat_mul(T, _kron(L, eye)):
+        L = [{i: QRat.from_int(x) if isinstance(x, int) else x
+              for i, x in col.items()} for col in left_fix[g]]
+        R = [{i: QRat.from_int(x) if isinstance(x, int) else x
+              for i, x in col.items()} for col in right_fix[g]]
+        if _mul(mod.left[g], T) != _mul(T, _kron(L, eye)):
             bad.append("left matrix of %s differs" % g)
-        if mat_mul(mod.right[g], T) != mat_mul(T, _kron(eye, R)):
+        if _mul(mod.right[g], T) != _mul(T, _kron(eye, R)):
             bad.append("right matrix of %s differs" % g)
     return bad
 
@@ -178,8 +181,8 @@ def test_criterion_05_h20_h02(announce, modules):
     bad.extend(_change_of_basis_ok(h02, vx.H02_BASIS, vx.H02_LEFT,
                                    vx.H02_RIGHT))
     from hopflab.ncpoly import B
-    zero20 = all(c.is_zero() for row in h20.left[B] for c in row)
-    zero02 = all(c.is_zero() for row in h02.left[B] for c in row)
+    zero20 = all(not col for col in h20.left[B])
+    zero02 = all(not col for col in h02.left[B])
     if not zero20:
         bad.append("left b-matrix on H20 is not zero")
     if zero02:

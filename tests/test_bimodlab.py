@@ -44,7 +44,7 @@ from hopflab.bimodlab import (
     H02_BASIS, H02_LEFT, H02_RIGHT,
 )
 from hopflab.bimodlab.core import GENERATORS
-from hopflab.bimodlab.linalg import identity, mat_mul, rank_dense
+from hopflab.bimodlab.linalg import apply, rank
 
 import random
 
@@ -73,9 +73,10 @@ def test_reference_matrices_match_engine(gi):
             for j in range(n):
                 want_l = {}
                 want_r = {}
-                for k in range(n):
-                    nc_add_into(want_l, grid[k][j], left[g][k][i])
-                    nc_add_into(want_r, grid[i][k], right[g][k][j])
+                for k, c in left[g][i].items():
+                    nc_add_into(want_l, grid[k][j], c)
+                for k, c in right[g][j].items():
+                    nc_add_into(want_r, grid[i][k], c)
                 got_l = act_left((g,), grid[i][j])
                 got_r = act_right(grid[i][j], (g,))
                 nc_add_into(got_l, want_l, -ONE)
@@ -165,7 +166,7 @@ def test_h20_h02_closures():
     assert h20.dim == 9 and h02.dim == 9
     assert standard_seed("H20") == canonical("v5")
     assert standard_seed("H02") == canonical("v6")
-    zero = [[ZERO] * 9 for _ in range(9)]
+    zero = [{}] * 9
     assert h20.left[B] == zero
     assert h02.left[B] != zero
 
@@ -202,7 +203,9 @@ def _v5_plus_v6():
 def test_closure_matrices_match_coordinates_of_actions(name, side):
     # closure() reads its matrices off the span phase's images, correcting
     # for queued rows that later insertions rewrote; rebuild every column
-    # by acting on the final basis and solving for coordinates
+    # by acting on the final basis and solving for coordinates.  Stored
+    # columns hold no zero entry and no index outside the basis, and the K
+    # and K^-1 columns are exactly {j: q^(+-w)}
     seed = _v5_plus_v6() if name == "v5+v6" else standard_seed(name)
     mod = closure([seed], side=side)
     actions = []
@@ -210,11 +213,19 @@ def test_closure_matrices_match_coordinates_of_actions(name, side):
         actions.append((mod.left, lambda g, b: act_left((g,), b)))
     if mod.right is not None:
         actions.append((mod.right, lambda g, b: act_right(b, (g,))))
+    n = mod.dim
     for mats, action in actions:
         for g in GENERATORS:
             want = [mod.ech.coords(action(g, b)) for b in mod.basis]
-            got = [list(col) for col in zip(*mats[g])]
-            assert got == want, (LETTER_NAMES[g], side)
+            assert mats[g] == want, (LETTER_NAMES[g], side)
+            assert all(0 <= i < n and c for col in mats[g]
+                       for i, c in col.items()), (LETTER_NAMES[g], side)
+    for mats, pos, sign in ((mod.left, 0, 1), (mod.right, 1, -1)):
+        if mats is not None:
+            assert mats[K] == [{j: q(sign * w[pos])}
+                               for j, w in enumerate(mod.weights)]
+            assert mats[KI] == [{j: q(-sign * w[pos])}
+                                for j, w in enumerate(mod.weights)]
 
 
 def test_closure_cap_raises():
@@ -228,19 +239,18 @@ def test_matrices_satisfy_defining_relations():
     n = mod.dim
 
     def word_matrix(mats, w, side):
-        out = identity(n)
+        out = [{j: ONE} for j in range(n)]
         seq = w if side == "left" else tuple(reversed(w))
         for g in seq:
-            out = mat_mul(out, mats[g])
+            out = [apply(out, col) for col in mats[g]]
         return out
 
     def poly_matrix(mats, p, side):
-        out = [[ZERO] * n for _ in range(n)]
+        out = [{} for _ in range(n)]
         for w, cf in p.items():
             m = word_matrix(mats, w, side)
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = out[i][j] + cf * m[i][j]
+            for j in range(n):
+                nc_add_into(out[j], m[j], cf)
         return out
 
     for pat, rhs in DOUBLE.rules.items():
@@ -253,16 +263,16 @@ def test_matrices_satisfy_defining_relations():
 # -- recorded change of basis onto the reference grids --
 
 def _kron(Am, Bm):
-    na, nb = len(Am), len(Bm)
-    out = [[ZERO] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            if Am[i][j].is_zero():
-                continue
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = Am[i][j] * Bm[k][l]
-    return out
+    """Kronecker product of two matrices of sparse columns."""
+    nb = len(Bm)
+    return [{i * nb + k: a * b for i, a in acol.items()
+             for k, b in bcol.items()}
+            for acol in Am for bcol in Bm]
+
+
+def _mul(Am, Bm):
+    """Product of two matrices of sparse columns."""
+    return [apply(Am, col) for col in Bm]
 
 
 @pytest.mark.parametrize("name,gi", [("H11", 0), ("H20", 1), ("H02", 2)])
@@ -271,18 +281,17 @@ def test_change_of_basis_onto_reference_grid(name, gi):
     mod = standard_module(name)
     n = len(names)
     assert mod.dim == n * n
-    cols = []
+    T = []
     for i in range(n):
         for j in range(n):
             co = mod.coords(canonical(names[i][j]))
             assert co is not None
-            cols.append(co)
-    T = [[cols[c][r] for c in range(n * n)] for r in range(n * n)]
-    assert rank_dense(T) == n * n
-    ident = identity(n)
+            T.append(co)
+    assert rank(T) == n * n
+    ident = [{i: ONE} for i in range(n)]
     for g in GENERATORS:
-        assert mat_mul(mod.left[g], T) == mat_mul(T, _kron(left[g], ident))
-        assert mat_mul(mod.right[g], T) == mat_mul(T, _kron(ident, right[g]))
+        assert _mul(mod.left[g], T) == _mul(T, _kron(left[g], ident))
+        assert _mul(mod.right[g], T) == _mul(T, _kron(ident, right[g]))
 
 
 # -- simplicity and operator spans --
@@ -343,8 +352,7 @@ def test_decompose_h11_four_equal_summands():
     acc = Echelon()
     for s in parts:
         for vec in s.basis:
-            assert acc.insert({i: c for i, c in enumerate(vec)
-                               if not c.is_zero()})
+            assert acc.insert(vec)
     assert acc.dim == 16
 
 
@@ -374,10 +382,15 @@ def test_decompose_left_output_pinned(name):
         mod = closure([h_lambda_mu_seed(4, 0)], name="conj(4,0)")
     else:
         mod = standard_module(name)
-    got = [{"seed": [qrat_text(c) for c in s.seed],
-            "basis": [[qrat_text(c) for c in v] for v in s.basis],
-            "matrices": {LETTER_NAMES[g]: [[qrat_text(c) for c in row]
-                                           for row in s.matrices[g]]
+    # the pinned output is dense: vectors of length dim, matrices row-major
+    def dense(vec, n):
+        return [qrat_text(vec.get(i, ZERO)) for i in range(n)]
+
+    got = [{"seed": dense(s.seed, mod.dim),
+            "basis": [dense(v, mod.dim) for v in s.basis],
+            "matrices": {LETTER_NAMES[g]: [[qrat_text(col.get(i, ZERO))
+                                            for col in s.matrices[g]]
+                                           for i in range(s.dim)]
                          for g in GENERATORS}}
            for s in decompose_left(mod)]
     assert got == DECOMPOSE_PINNED[name]

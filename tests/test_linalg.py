@@ -1,10 +1,11 @@
-"""rref, kernel, rank_dense and Echelon.coords, which all read the rows of
-one Echelon, on random small sparse matrices over Q(q)."""
+"""rref, kernel, rank and Echelon.coords, which all read the rows of an
+Echelon, on random small sparse matrices over Q(q): the same matrix as
+sparse rows (rref) and as sparse columns (kernel, rank)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopflab.scalars import ONE, QRat, ZERO, qint
-from hopflab.bimodlab.linalg import Echelon, kernel, rank_dense, rref
+from hopflab.bimodlab.linalg import Echelon, kernel, rank, rref
 
 Q = QRat.q_power(1)
 # mostly zeros, so that rows repeat, vanish or depend on each other often
@@ -32,9 +33,10 @@ def matrices(draw):
 
 
 def _dot(row, vec):
+    """A dense row times a sparse vector."""
     acc = ZERO
-    for a, b in zip(row, vec):
-        acc = acc + a * b
+    for j, b in vec.items():
+        acc = acc + row[j] * b
     return acc
 
 
@@ -42,32 +44,38 @@ def _sparse(row):
     return {j: c for j, c in enumerate(row) if c}
 
 
+def _columns(m, rows):
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(m)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(matrices(), st.lists(st.sampled_from(ENTRIES), min_size=4, max_size=4))
 def test_rref_kernel_rank_and_coords(mat, combo):
     m, rows = mat
-    red, pivots = rref(rows)
+    red, pivots = rref([_sparse(r) for r in rows])
     # pivots ascend and carry an identity block; entries left of a pivot
-    # are zero
+    # are zero, and no zero entry is stored
     assert pivots == sorted(set(pivots))
     assert len(red) == len(pivots)
     for i, r in enumerate(red):
-        assert len(r) == m
-        assert all(c.is_zero() for c in r[:pivots[i]])
+        assert all(pivots[i] <= j < m and c for j, c in r.items())
         for k, p in enumerate(pivots):
-            assert r[p] == (ONE if k == i else ZERO)
+            assert r.get(p, ZERO) == (ONE if k == i else ZERO)
     free = [j for j in range(m) if j not in pivots]
 
-    if rows:
-        ker = kernel(rows)
-        assert rank_dense(rows) == len(pivots)
-        assert rank_dense(rows) + len(ker) == m
-        for f, v in zip(free, ker):
-            assert all(_dot(r, v).is_zero() for r in rows)
-            assert [v[g] for g in free] == [ONE if g == f else ZERO
-                                            for g in free]
-    else:
-        assert kernel(rows) == [] and rank_dense(rows) == 0
+    # a matrix of columns keeps its width m with no rows, so its kernel is
+    # then all of Q(q)^m
+    cols = _columns(m, rows)
+    ker = kernel(cols)
+    assert rank(cols) == len(pivots)
+    assert rank(cols) + len(ker) == m
+    if not rows:
+        assert rank(cols) == 0
+    for f, v in zip(free, ker):
+        assert all(c for c in v.values())
+        assert all(_dot(r, v).is_zero() for r in rows)
+        assert [v.get(g, ZERO) for g in free] == [ONE if g == f else ZERO
+                                                  for g in free]
 
     ech = Echelon()
     for r in rows:
@@ -82,10 +90,11 @@ def test_rref_kernel_rank_and_coords(mat, combo):
             vec[j] = vec.get(j, ZERO) + c * x
     vec = {j: x for j, x in vec.items() if x}
     coords = ech.coords(vec)
-    assert coords is not None and len(coords) == len(basis)
+    assert coords is not None
+    assert all(0 <= i < len(basis) and c for i, c in coords.items())
     rebuilt = {}
-    for c, b in zip(coords, basis):
-        for j, x in b.items():
+    for i, c in coords.items():
+        for j, x in basis[i].items():
             rebuilt[j] = rebuilt.get(j, ZERO) + c * x
     assert {j: x for j, x in rebuilt.items() if x} == vec
     # the unit vector of a free column is outside the row space, since the

@@ -88,10 +88,8 @@ def _reference_closure(seed):
     basis = ech.basis()
     left, right = {}, {}
     for g in GENERATORS:
-        cols = [ech.coords(act_left((g,), b)) for b in basis]
-        left[g] = [list(r) for r in zip(*cols)]
-        cols = [ech.coords(act_right(b, (g,))) for b in basis]
-        right[g] = [list(r) for r in zip(*cols)]
+        left[g] = [ech.coords(act_left((g,), b)) for b in basis]
+        right[g] = [ech.coords(act_right(b, (g,))) for b in basis]
     return basis, left, right
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopflab.scalars import (
-    ONE, ZERO, PoleAtPoint, QRat, pconst, qrat_eval, qrat_mod,
+    ONE, PoleAtPoint, QRat, pconst, qrat_eval, qrat_mod,
 )
 from hopflab.bimodlab import LabConfig, canonical, closure, standard_module
 from hopflab.bimodlab import core
@@ -49,8 +49,9 @@ def test_short_spans_match_exact():
 
 
 def _pair(x):
-    """The generators e12 and x e21 of 2 x 2 matrices over Q(q)."""
-    return [[[ZERO, ONE], [ZERO, ZERO]], [[ZERO, ZERO], [x, ZERO]]]
+    """The generators e12 and x e21 of 2 x 2 matrices over Q(q), as sparse
+    columns."""
+    return [[{}, {0: ONE}], [{1: x}, {}]]
 
 
 def test_rank_drop_at_the_point_falls_back_to_exact():
@@ -74,7 +75,7 @@ def test_pole_at_the_point_falls_back_without_raising(pole):
     span = matrix_span(_pair(pole), 2, 8)
     assert span == (4, False) and span.certificate == CERT_EXACT
     # a pole in a short span falls back too, and reports the exact span
-    span = matrix_span([[[pole, ZERO], [ZERO, ONE]]], 2, 8)
+    span = matrix_span([[{0: pole}, {1: ONE}]], 2, 8)
     assert span == (2, False) and span.certificate == CERT_EXACT
 
 

@@ -34,7 +34,8 @@ def test_round_trip_standard_modules(tmp_path, name):
     back = store.load_module(path)
     assert _same_module(mod, back)
     # coordinates work on the reloaded module
-    assert back.coords(mod.basis[-1])[-1] == mod.coords(mod.basis[-1])[-1]
+    last = mod.dim - 1
+    assert back.coords(mod.basis[-1])[last] == mod.coords(mod.basis[-1])[last]
 
 
 def test_one_sided_module_round_trip(tmp_path):
@@ -116,6 +117,40 @@ def test_edited_k_matrix_entry_fails_revalidation(tmp_path, matrix, where):
     path.write_text(_reseal("\n".join(lines) + "\n"))
     with pytest.raises(store.CorruptArchive, match="revalidation"):
         store.load_module(path)
+
+
+def _resealed_fixture(tmp_path, edit):
+    """h20.hopflab with edit applied to its body lines, resealed."""
+    body, _, _ = (FIXTURES / "h20.hopflab").read_text().rpartition(
+        "checksum ")
+    lines = body.splitlines()
+    edit(lines)
+    path = tmp_path / "m.hopflab"
+    path.write_text(_reseal("\n".join(lines) + "\n"))
+    return path
+
+
+def test_negative_matrix_index_rejected(tmp_path):
+    # Python would wrap -1 around to the last row
+    def edit(lines):
+        lines[lines.index("8 7 q")] = "-1 7 q"
+    with pytest.raises(store.CorruptArchive, match="out of range"):
+        store.load_module(_resealed_fixture(tmp_path, edit))
+
+
+def test_duplicated_matrix_entry_rejected(tmp_path):
+    def edit(lines):
+        at = lines.index("matrix left E") + 1
+        lines.insert(at, lines[at])
+    with pytest.raises(store.CorruptArchive, match="out of order"):
+        store.load_module(_resealed_fixture(tmp_path, edit))
+
+
+def test_zero_matrix_entry_rejected(tmp_path):
+    def edit(lines):
+        lines.insert(lines.index("matrix left E") + 1, "0 0 0")
+    with pytest.raises(store.CorruptArchive, match="zero matrix entry"):
+        store.load_module(_resealed_fixture(tmp_path, edit))
 
 
 def test_dependent_basis_rejected(tmp_path):
